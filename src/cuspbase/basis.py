@@ -4,13 +4,14 @@ Bases are canonical *reduced* echelon forms: elements are unitary, their
 valuations strictly increase, and every element has coefficient zero at the
 pivot exponent of every other element.  The reduced basis depends only on
 the span, which makes the outputs deterministic and re-echelonization a
-no-op.
+no-op.  Its pivots sit below the Sturm floor, so one basis per (space, N, k)
+is kept, at the highest precision built so far, and lower precisions are
+served by truncating it.
 
-Cuspidal spaces are built by the seed ladder: at a single-seed level the
-basis of S_{2k} is the echelonized product of the seed with the full-space
-basis of weight 2(k-k0); levels 7 and 10 carry two extra seeds multiplied
-by powers of the weight-2 generator, level 7 dispatching on the weight
-residue mod 6.
+Cuspidal spaces are built by one ladder rule, read from the catalogue: the
+rung for S_{2k} has a start k0 and seeds; all seeds but the last are lifted
+by E2^(k-k0), and the last multiplies the full basis of weight 2(k-k0).
+Below the start the space must be zero.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .catalog import evaluate, get_catalog, level1_eisenstein
+from .catalog import MEMO, evaluate, get_catalog, level1_eisenstein
 from .dimensions import (
-    DELTA_DATA, default_prec, dim_cusp, dim_modular, ladder_condition,
-    sturm_bound,
+    DELTA_DATA, default_prec, dim_cusp, dim_modular, sturm_bound,
 )
 from .errors import (
     DecompositionMismatch, IncompleteSpan, InsufficientPrecision,
@@ -103,16 +103,29 @@ def echelonize(forms, expected_dim, prec=None, *, level, weight, space="full"):
     return EchelonBasis(level, weight, space, tuple(ordered), common)
 
 
+# -- basis memo -----------------------------------------------------------------
+
+def _memo_basis(space, N, k, prec, build):
+    """The basis under (space, N, k), kept at the highest precision built.
+
+    The reduced echelon basis is fixed by its span and its pivots sit below
+    the Sturm floor, so at any precision between the floor and the kept one
+    it is the kept basis truncated.  A higher precision rebuilds.
+    """
+    key = (space, N, k)
+    hit = MEMO.get(key)
+    if hit is not None and sturm_bound(N, 2 * k) < prec <= hit.prec:
+        if prec == hit.prec:
+            return hit
+        return EchelonBasis(N, 2 * k, space,
+                            tuple(e.truncate(prec) for e in hit.elements), prec)
+    basis = build(N, k, prec)
+    if hit is None or basis.prec > hit.prec:
+        MEMO[key] = basis
+    return basis
+
+
 # -- full spaces --------------------------------------------------------------
-
-_M_CACHE = {}
-_S_CACHE = {}
-
-
-def clear_caches():
-    _M_CACHE.clear()
-    _S_CACHE.clear()
-
 
 def _monomial_exponents(weights, total):
     """All exponent vectors e with sum e_i * weights_i == total, lex order."""
@@ -153,15 +166,13 @@ def m_basis(N, k, prec=None):
         raise ValueError("half-weight must be nonnegative")
     if prec is None:
         prec = default_prec(N, 2 * k)
-    key = (N, k, prec)
-    hit = _M_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _memo_basis("full", N, k, prec, _m_basis_build)
+
+
+def _m_basis_build(N, k, prec):
     expected = dim_modular(N, 2 * k)
     if k == 0:
-        basis = EchelonBasis(N, 0, "full", (QSeries.one(prec),), prec)
-        _M_CACHE[key] = basis
-        return basis
+        return EchelonBasis(N, 0, "full", (QSeries.one(prec),), prec)
     cat = get_catalog(N)
     if N == 1:
         series = [evaluate(c, prec) for c in _level1_candidates(k)]
@@ -199,18 +210,12 @@ def m_basis(N, k, prec=None):
                     prod = prod * power(i, e)
             series.append(prod)
     try:
-        basis = echelonize(series, expected, prec, level=N, weight=2 * k)
+        return echelonize(series, expected, prec, level=N, weight=2 * k)
     except RankDeficient as exc:
         raise IncompleteSpan(N, 2 * k, exc.rank, expected) from exc
-    _M_CACHE[key] = basis
-    return basis
 
 
 # -- cuspidal spaces -----------------------------------------------------------
-
-def _seed_series(cat, prec):
-    return [evaluate(s, prec) for s in cat.seeds]
-
 
 def s_basis(N, k, prec=None):
     """Canonical basis of S_{2k}(Gamma0(N)) via the seed ladder."""
@@ -218,89 +223,30 @@ def s_basis(N, k, prec=None):
         raise ValueError("half-weight must be at least 1")
     if prec is None:
         prec = default_prec(N, 2 * k)
-    key = (N, k, prec)
-    hit = _S_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _memo_basis("cusp", N, k, prec, _s_basis_build)
+
+
+def _s_basis_build(N, k, prec):
     cat = get_catalog(N)
     expected = dim_cusp(N, 2 * k)
-    basis = _s_basis_build(cat, N, k, prec, expected)
-    if len(basis) != expected:
-        raise DecompositionMismatch(
-            f"cusp basis at level {N} weight {2 * k} has {len(basis)} elements, "
-            f"dimension formula says {expected}"
-        )
-    _S_CACHE[key] = basis
-    return basis
-
-
-def _s_basis_build(cat, N, k, prec, expected):
-    k0 = cat.k0
-    if len(cat.seeds) == 3:
-        # three-seed ladders: the weight-residue dispatch when a low-weight
-        # base seed exists (level 7), the uniform form otherwise (level 10)
-        if cat.base_seed is not None:
-            return _s_basis_level7(cat, k, prec, expected)
-        return _s_basis_seed3(cat, N, k, prec, expected)
-    # single-seed levels: below the ladder start every cusp space is zero
+    k0, seeds = cat.rung(k)
     if k < k0:
         if expected:
             raise LadderConditionFailed(
                 f"level {N} has no catalogued cusp forms below weight {2 * k0}"
             )
         return EchelonBasis(N, 2 * k, "cusp", (), prec)
-    if not ladder_condition(N, k0, k):
+    lifted = seeds[:-1]
+    if expected != len(lifted) + dim_modular(N, 2 * (k - k0)):
         raise LadderConditionFailed(
             f"dimension identity fails at level {N}, weight {2 * k}, start {k0}"
         )
-    seed = _seed_series(cat, prec)[0]
-    carrier = m_basis(N, k - k0, prec)
-    products = [seed * e for e in carrier.elements]
-    return echelonize(products, expected, prec, level=N, weight=2 * k, space="cusp")
-
-
-def _s_basis_seed3(cat, N, k, prec, expected):
-    k0 = cat.k0
-    if k < k0:
-        if expected:
-            raise LadderConditionFailed(
-                f"level {N} has no catalogued cusp forms below weight {2 * k0}"
-            )
-        return EchelonBasis(N, 2 * k, "cusp", (), prec)
-    carrier = m_basis(N, k - k0, prec)
-    if expected != 2 + len(carrier):
-        raise LadderConditionFailed(
-            f"dimension identity fails at level {N}, weight {2 * k}, start {k0}"
-        )
-    f1, f2, f3 = _seed_series(cat, prec)
-    e2 = evaluate(Gen(2, N, 0), prec)
-    lift = e2 ** (k - k0)
-    rows = [f1 * lift, f2 * lift] + [f3 * e for e in carrier.elements]
+    series = [evaluate(s, prec) for s in seeds]
+    rows = [series[-1] * e for e in m_basis(N, k - k0, prec).elements]
+    if lifted:
+        lift = evaluate(Gen(2, N, 0), prec) ** (k - k0)
+        rows = [f * lift for f in series[:-1]] + rows
     return echelonize(rows, expected, prec, level=N, weight=2 * k, space="cusp")
-
-
-def _s_basis_level7(cat, k, prec, expected):
-    if k == 1:
-        return EchelonBasis(7, 2, "cusp", (), prec)
-    if k % 3 == 0:
-        carrier = m_basis(7, k - 3, prec)
-        if expected != 2 + len(carrier):
-            raise LadderConditionFailed(
-                f"dimension identity fails at level 7, weight {2 * k}"
-            )
-        f1, f2, f3 = _seed_series(cat, prec)
-        e2 = evaluate(Gen(2, 7, 0), prec)
-        lift = e2 ** (k - 3)
-        rows = [f1 * lift, f2 * lift] + [f3 * e for e in carrier.elements]
-    else:
-        carrier = m_basis(7, k - 2, prec)
-        if expected != len(carrier):
-            raise LadderConditionFailed(
-                f"dimension identity fails at level 7, weight {2 * k}"
-            )
-        base = evaluate(cat.base_seed, prec)
-        rows = [base * e for e in carrier.elements]
-    return echelonize(rows, expected, prec, level=7, weight=2 * k, space="cusp")
 
 
 # -- membership and decomposition ----------------------------------------------

@@ -21,7 +21,7 @@ from .errors import UnsupportedLevel
 from .eta import EtaQuotient, eta_expand
 from .expr import (
     Add, Const, Delta, Eis, Eta, Gen, Lit, Mul, Pow, Subst, W2, Wpa,
-    add, const, eta, expr_weight, mul, neg, scaled, sub, wp,
+    add, eta, expr_weight, mul, neg, scaled, sub, wp,
 )
 from .series import QSeries
 from .weierstrass import TorsionPoint, wpa_expand
@@ -47,6 +47,19 @@ class LevelCatalog:
     k0: int
     base_seed: object | None    # low-weight cusp seed below k0 (level 7 only)
     reconstructed: frozenset    # names of entries completed from outside atoms
+    ladder_period: int = 1      # the seeds build S_{2k} only when period | k
+
+    def rung(self, k):
+        """(start, seeds) of the ladder rung that builds S_{2k}.
+
+        The seeds before the last are lifted by E2^(k - start); the last one
+        multiplies the full basis of weight 2(k - start).  Half-weights off
+        the ladder period use the base seed alone, from its own half-weight.
+        """
+        if k % self.ladder_period:
+            start = expr_weight(self.base_seed, delta_weight) // 2
+            return start, (self.base_seed,)
+        return self.k0, self.seeds
 
 
 def delta_weight(N):
@@ -210,7 +223,7 @@ def _build_catalogs():
             sub(Gen(6, 7, 2), scaled(49, 1, Gen(6, 7, 4))),
             sub(Gen(6, 7, 3), scaled(13, 2, Gen(6, 7, 4))),
         ),
-        k0=3, base_seed=f47, reconstructed=frozenset(),
+        k0=3, base_seed=f47, ladder_period=3, reconstructed=frozenset(),
     )
 
     # -- level 8 ----------------------------------------------------------
@@ -313,11 +326,13 @@ def level1_eisenstein(half_weight):
 
 # -- evaluation ---------------------------------------------------------------
 
-_EVAL_CACHE = {}
+# The package's one memo: evaluate keys it on (expr, prec), the basis
+# builders on (space, N, k).
+MEMO = {}
 
 
 def clear_caches():
-    _EVAL_CACHE.clear()
+    MEMO.clear()
 
 
 def evaluate(expr, prec, _check=True):
@@ -331,11 +346,11 @@ def evaluate(expr, prec, _check=True):
 
 def _eval(expr, prec):
     key = (expr, prec)
-    hit = _EVAL_CACHE.get(key)
+    hit = MEMO.get(key)
     if hit is not None:
         return hit
     out = _eval_uncached(expr, prec)
-    _EVAL_CACHE[key] = out
+    MEMO[key] = out
     return out
 
 

@@ -105,11 +105,9 @@ def eta_expand(e, prec):
 
     Each scale's Euler product is accumulated factor by factor with early
     truncation, raised to |r_m| by repeated squaring, and inverted once when
-    r_m is negative.
+    r_m is negative.  At or below the valuation the expansion is 0 + O(q^prec).
     """
     v = Fraction(e.valuation)
-    if Fraction(prec) <= v:
-        raise ValueError(f"prec {prec} must exceed the valuation {v}")
     if v.denominator == 1:
         grid = 1
     elif v.denominator == 2:
@@ -119,6 +117,8 @@ def eta_expand(e, prec):
             f"sum m*r_m = {24 * v} is not divisible by 12; "
             "valuation not representable on the half grid"
         )
+    if Fraction(prec) <= v:
+        return QSeries.zero(prec, grid)
     # the product part has integer exponents; needed below prec - v
     rel_f = Fraction(prec) - v
     rel = int(rel_f) if rel_f.denominator == 1 else int(rel_f) + 1

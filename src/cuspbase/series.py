@@ -66,7 +66,7 @@ class QSeries:
                 raise OffGrid(f"precision index {prec} is not integral")
             prec = int(prec)
             if len(coeffs) > prec - lead:
-                coeffs = coeffs[: prec - lead]
+                coeffs = coeffs[: max(prec - lead, 0)]
         # strip leading zeros (advance the lead), then trailing zeros
         i = 0
         while i < len(coeffs) and coeffs[i] == 0:

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import basis as _basis
 from . import catalog as _catalog
 from .basis import m_basis, s_basis, structure_decompose, verify_membership
+from .catalog import clear_caches  # noqa: F401  (public entry point)
 from .dimensions import (
     DELTA_DATA, SUPPORTED_LEVELS, count_cusps, default_prec, dim_cusp,
     dim_modular, dim_shift_report, ladder_dim_report, sturm_bound,
@@ -72,11 +72,6 @@ PRINTED_SERIES = {
     "printed:delta_9": (9, "delta_9", 2,
                         [1, 0, 0, 2, 0, 0, 5, 0, 0, 4, 0, 0, 8, 0, 0]),
 }
-
-
-def clear_caches():
-    _catalog.clear_caches()
-    _basis.clear_caches()
 
 
 # -- reference-corpus checks ---------------------------------------------------

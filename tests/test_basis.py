@@ -5,11 +5,9 @@ import dataclasses
 import pytest
 
 from conftest import series_coeffs
-from cuspbase import basis as basis_mod
 from cuspbase import catalog as catalog_mod
 from cuspbase.basis import (
     echelonize, m_basis, s_basis, structure_decompose, verify_membership,
-    _s_basis_build,
 )
 from cuspbase.catalog import evaluate, get_catalog
 from cuspbase.dimensions import default_prec, dim_cusp, dim_modular
@@ -107,7 +105,6 @@ def test_s_basis_idempotent():
 
 def test_s_basis_deterministic():
     first = s_basis(10, 5)
-    basis_mod.clear_caches()
     catalog_mod.clear_caches()
     second = s_basis(10, 5)
     assert first.elements == second.elements
@@ -121,14 +118,37 @@ def test_unsupported_level():
         m_basis(11, 2)
 
 
-def test_ladder_condition_failure_raises():
-    # force a wrong ladder start on the level-7 catalogue: the single-seed
-    # path with k0=2 must trip the dimension guard at k=6
+def test_ladder_condition_failure_raises(monkeypatch):
+    # force a wrong ladder start on the level-7 catalogue: a single-seed
+    # rung with k0=2 must trip the dimension guard at k=6
     cat = get_catalog(7)
     doctored = dataclasses.replace(
-        cat, k0=2, seeds=(cat.base_seed,), base_seed=None)
-    with pytest.raises(LadderConditionFailed):
-        _s_basis_build(doctored, 7, 6, default_prec(7, 12), dim_cusp(7, 12))
+        cat, k0=2, seeds=(cat.base_seed,), base_seed=None, ladder_period=1)
+    monkeypatch.setitem(catalog_mod._CATALOGS, 7, doctored)
+    catalog_mod.clear_caches()
+    try:
+        with pytest.raises(LadderConditionFailed):
+            s_basis(7, 6)
+    finally:
+        catalog_mod.clear_caches()
+
+
+@pytest.mark.parametrize("space", ["full", "cusp"])
+def test_cached_basis_truncates_to_fresh_build(space):
+    # a basis kept at a higher precision serves lower requests by
+    # truncation; that must equal a build made at the lower precision
+    build = m_basis if space == "full" else s_basis
+    for n in range(1, 11):
+        for k in range(1, 13):
+            prec = default_prec(n, 2 * k)
+            catalog_mod.clear_caches()
+            build(n, k, prec + 12)
+            served = build(n, k, prec)
+            assert catalog_mod.MEMO[(space, n, k)].prec == prec + 12
+            catalog_mod.clear_caches()
+            fresh = build(n, k, prec)
+            assert served.elements == fresh.elements, (n, k)
+            assert served.prec == fresh.prec == prec, (n, k)
 
 
 def test_verify_membership():

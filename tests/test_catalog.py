@@ -1,6 +1,7 @@
 """Catalogue integrity: generator and seed normalization, identities."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import series_coeffs
 from cuspbase.catalog import (
@@ -9,6 +10,7 @@ from cuspbase.catalog import (
 from cuspbase.dimensions import DELTA_DATA, default_prec
 from cuspbase.errors import UnsupportedLevel
 from cuspbase.eta import eta_profile
+from cuspbase.parse import parse_expr
 from cuspbase.series import first_mismatch
 from cuspbase.verify import PRINTED_SERIES, check_printed_series
 
@@ -123,3 +125,25 @@ def test_e2_4_0_cube_sign():
     # the two tabulations disagree at q^3; the eta product decides -32
     series = evaluate(named_forms(4)["E2_4_0"], 4)
     assert series_coeffs(series, 4) == [1, -8, 24, -32]
+
+
+def test_truncated_expansion_matches_low_precision():
+    # E[4,8,4] starts at q^4; at precision 3 nothing of it is known
+    form = parse_expr("E[4,8,4]")
+    assert evaluate(form, 60).truncate(3) == evaluate(form, 3)
+    assert evaluate(form, 3).is_zero
+
+
+NAMED = [(n, name) for n in range(1, 11) for name in sorted(named_forms(n))]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.sampled_from(NAMED),
+       st.integers(1, 6) | st.integers(1, 40),   # the frontier sits low
+       st.integers(1, 20))
+def test_precision_monotonicity(entry, low, extra):
+    # evaluate(f, hi).truncate(p) == evaluate(f, p), including precisions
+    # at or below a form's valuation
+    n, name = entry
+    form = named_forms(n)[name]
+    assert evaluate(form, low + extra).truncate(low) == evaluate(form, low)

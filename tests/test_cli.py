@@ -90,6 +90,12 @@ def test_expand_eta():
     assert "q + 4*q^3 + 6*q^5 + 8*q^7 + 13*q^9 + O(q^10)" in text
 
 
+def test_expand_eta_below_valuation():
+    code, text = run_cli(["expand", "--eta", "7:14,1:-2", "--prec", "3"])
+    assert code == 0
+    assert text.endswith("eta(7:14,1:-2) = 0 + O(q^3)\n")
+
+
 def test_expand_expr_scaled_weierstrass():
     code, text = run_cli(["expand", "--expr=-3*wpa(2,0,2)", "--prec", "8"])
     assert code == 0

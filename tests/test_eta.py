@@ -25,6 +25,14 @@ def test_published_expansions():
         assert series_coeffs(s, lead + len(coeffs))[lead:] == coeffs
 
 
+def test_precision_at_or_below_valuation_is_zero():
+    delta7 = EtaQuotient({7: 14, 1: -2})  # valuation 4
+    for prec in (1, 3, 4):
+        s = eta_expand(delta7, prec)
+        assert s.is_zero
+        assert s.prec_exponent == prec
+
+
 def test_empty_quotient_is_one():
     s = eta_expand(EtaQuotient({}), 5)
     assert series_coeffs(s, 5) == [1, 0, 0, 0, 0]

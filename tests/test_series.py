@@ -206,6 +206,13 @@ def test_grid_normalization():
     assert t.valuation() == Fraction(1, 2)
 
 
+def test_lead_beyond_precision_is_zero():
+    # every listed coefficient sits past the O(q^3) frontier
+    s = QSeries(1, 4, [1, 0, 4], 3)
+    assert s.is_zero
+    assert s == QSeries.zero(prec=3)
+
+
 def test_zero_handling():
     z = QSeries.zero(prec=4)
     s = QSeries.make(1, [5, 1], prec=6)
