@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .catalog import MEMO, evaluate, get_catalog, level1_eisenstein
 from .dimensions import (
@@ -25,11 +26,11 @@ from .dimensions import (
 )
 from .errors import (
     DecompositionMismatch, IncompleteSpan, InsufficientPrecision,
-    LadderConditionFailed, NotInSpan, RankDeficient, RankExcess,
-    UnsupportedLevel,
+    LadderConditionFailed, NotInSpan, OffGrid, PrecisionExceeded,
+    RankDeficient, RankExcess, UnsupportedLevel,
 )
 from .expr import Delta, Gen, Mul, Pow
-from .series import QSeries, _min_prec
+from .series import QSeries, _from_index, _min_prec
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,11 @@ def echelonize(forms, expected_dim, prec=None, *, level, weight, space="full"):
     """Reduce a spanning list to the canonical unitary triangular basis.
 
     Rows are taken by increasing valuation (ties by input order), reduced
-    against the pivots found so far, normalized to leading coefficient 1,
-    and finally fully back-substituted.  Dependent rows are dropped;
-    RankDeficient / RankExcess report a span of the wrong size.
+    against the pivots found so far, and finally fully back-substituted.
+    Dependent rows are dropped; RankDeficient / RankExcess report a span of
+    the wrong size.  The elimination is fraction-free: every row is a
+    primitive integer vector over the grid slots below the common frontier,
+    and each row is divided by its pivot entry only once, at the end.
     """
     common = None
     for f in forms:
@@ -71,36 +74,94 @@ def echelonize(forms, expected_dim, prec=None, *, level, weight, space="full"):
             f"precision {common} below the certification floor {floor} "
             f"for weight {weight} level {level}"
         )
-    rows = [f.truncate(common) for f in forms]
-    order = sorted(
-        (i for i, r in enumerate(rows) if not r.is_zero),
-        key=lambda i: (Fraction(rows[i].valuation()), i),
-    )
+    grid, size = _slots(forms, common)
+    rows = []
+    for f in forms:
+        row = _primitive(_int_row(f, grid, size)[0])
+        if row:
+            rows.append(row)
     pivots = {}
-    for i in order:
-        r = rows[i]
-        while not r.is_zero:
-            v = r.valuation()
-            holder = pivots.get(v)
+    for lead, vals in sorted(rows, key=lambda r: r[0]):
+        while True:
+            holder = pivots.get(lead)
             if holder is None:
-                r = r.scale(Fraction(1, 1) / r.leading_coefficient())
-                pivots[v] = r
+                pivots[lead] = vals
                 if len(pivots) > expected_dim:
                     raise RankExcess(expected_dim)
                 break
-            r = r - holder.scale(r.leading_coefficient())
+            reduced = _primitive(_combine(vals, holder, 0), lead)
+            if not reduced:
+                break
+            lead, vals = reduced
     if len(pivots) < expected_dim:
         raise RankDeficient(len(pivots), expected_dim)
-    ordered = [pivots[v] for v in sorted(pivots, key=Fraction)]
+    ordered = sorted(pivots.items())
     # full back-substitution: clear every pivot column above its row
     for i in range(len(ordered) - 2, -1, -1):
-        r = ordered[i]
-        for j in range(i + 1, len(ordered)):
-            c = r.coeff(ordered[j].valuation())
-            if c != 0:
-                r = r - ordered[j].scale(c)
-        ordered[i] = r
-    return EchelonBasis(level, weight, space, tuple(ordered), common)
+        lead, vals = ordered[i]
+        for p, holder in ordered[i + 1:]:
+            if vals[p - lead]:
+                lead, vals = _primitive(_combine(vals, holder, p - lead), lead)
+        ordered[i] = (lead, vals)
+    elements = []
+    for lead, vals in ordered:
+        piv = vals[0]
+        if piv != 1:
+            vals = [x // piv if x % piv == 0 else Fraction(x, piv) for x in vals]
+        elements.append(QSeries(grid, lead, vals, size))
+    return EchelonBasis(level, weight, space, tuple(elements), common)
+
+
+# -- integer rows ----------------------------------------------------------------
+
+def _slots(forms, frontier):
+    """The finest grid among the forms and the frontier, and the number of
+    its slots below the frontier."""
+    grid = max([f.grid for f in forms] + [Fraction(frontier).denominator])
+    return grid, int(frontier * grid)
+
+
+def _int_row(f, grid, size):
+    """f on the first ``size`` slots of the 1/grid grid with denominators
+    cleared: (dense integer list, d) where the list holds d times each
+    coefficient."""
+    step = grid // f.grid
+    if size % step:
+        raise OffGrid(f"frontier index {size} is not on the 1/{f.grid} grid")
+    kept = f.coeffs[:max(size // step - f.lead, 0)]
+    den = lcm(*(c.denominator for c in kept if type(c) is not int))
+    if den != 1:
+        kept = [(c * den).numerator for c in kept]
+    row = [0] * size
+    start = f.lead * step
+    row[start:start + len(kept) * step:step] = kept
+    return row, den
+
+
+def _primitive(vals, lead=0):
+    """(lead, suffix) of an integer row divided by its content, with the
+    suffix starting at the first nonzero entry; () for a zero row."""
+    for t, x in enumerate(vals):
+        if x:
+            break
+    else:
+        return ()
+    if t:
+        vals = vals[t:]
+    g = gcd(*vals)
+    if g != 1:
+        vals = [x // g for x in vals]
+    return lead + t, vals
+
+
+def _combine(vals, holder, offset):
+    """a*vals - b*holder with holder aligned at vals[offset]; a and b are the
+    two entries there divided by their gcd, so that entry cancels."""
+    a, b = holder[0], vals[offset]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    head = vals[:offset] if a == 1 else [a * x for x in vals[:offset]]
+    return head + [a * x - b * y for x, y in zip(vals[offset:], holder)]
 
 
 # -- basis memo -----------------------------------------------------------------
@@ -169,50 +230,66 @@ def m_basis(N, k, prec=None):
     return _memo_basis("full", N, k, prec, _m_basis_build)
 
 
+# candidate monomials kept per formal valuation on the first attempt
+_PER_VALUATION = 3
+
+
 def _m_basis_build(N, k, prec):
     expected = dim_modular(N, 2 * k)
     if k == 0:
         return EchelonBasis(N, 0, "full", (QSeries.one(prec),), prec)
-    cat = get_catalog(N)
     if N == 1:
-        series = [evaluate(c, prec) for c in _level1_candidates(k)]
+        attempts = [[evaluate(c, prec) for c in _level1_candidates(k)]]
     else:
-        atoms = cat.span_atoms
-        weights = [a.weight for a in atoms]
-        vectors = _monomial_exponents(weights, 2 * k)
-        # keep a few candidates per formal valuation so every pivot stays
-        # reachable; valuations sit below the dimension, so the total stays
-        # within the 3 * dim budget
-        vectors.sort(key=lambda v: (sum(e * a.valuation for e, a in zip(v, atoms)), v))
-        chosen = []
-        per_val = {}
-        for vec in vectors:
-            val = sum(e * a.valuation for e, a in zip(vec, atoms))
-            if per_val.get(val, 0) < 3:
-                per_val[val] = per_val.get(val, 0) + 1
-                chosen.append(vec)
-        vectors = chosen
-        atom_series = [evaluate(a.expr, prec) for a in atoms]
-        power_memo = {}
+        attempts = _monomial_attempts(get_catalog(N).span_atoms, k, prec)
+    for series in attempts:
+        try:
+            return echelonize(series, expected, prec, level=N, weight=2 * k)
+        except RankDeficient as exc:
+            deficient = exc
+    raise IncompleteSpan(N, 2 * k, deficient.rank, expected) from deficient
 
-        def power(i, e):
-            got = power_memo.get((i, e))
-            if got is None:
-                got = atom_series[i] ** e
-                power_memo[(i, e)] = got
-            return got
 
-        series = []
-        for vec in vectors:
-            prod = QSeries.one()
-            for i, e in enumerate(vec):
-                if e:
-                    prod = prod * power(i, e)
-            series.append(prod)
-    try:
-        return echelonize(series, expected, prec, level=N, weight=2 * k)
-    except RankDeficient as exc:
-        raise IncompleteSpan(N, 2 * k, exc.rank, expected) from exc
+def _monomial_attempts(atoms, k, prec):
+    """Candidate lists for M_{2k}: first a few monomials per formal valuation,
+    then, only if those fall short of the dimension, every monomial.
+
+    The cut keeps every pivot reachable at every catalogued level up to
+    weight 60, but nothing proves it does in general.
+    """
+    vectors = _monomial_exponents([a.weight for a in atoms], 2 * k)
+
+    def valuation(vec):
+        return sum(e * a.valuation for e, a in zip(vec, atoms))
+
+    vectors.sort(key=lambda v: (valuation(v), v))
+    chosen = []
+    per_val = {}
+    for vec in vectors:
+        val = valuation(vec)
+        if per_val.get(val, 0) < _PER_VALUATION:
+            per_val[val] = per_val.get(val, 0) + 1
+            chosen.append(vec)
+    atom_series = [evaluate(a.expr, prec) for a in atoms]
+    power_memo = {}
+
+    def power(i, e):
+        got = power_memo.get((i, e))
+        if got is None:
+            got = atom_series[i] ** e
+            power_memo[(i, e)] = got
+        return got
+
+    def product(vec):
+        prod = QSeries.one()
+        for i, e in enumerate(vec):
+            if e:
+                prod = prod * power(i, e)
+        return prod
+
+    yield [product(vec) for vec in chosen]
+    if len(chosen) < len(vectors):
+        yield [product(vec) for vec in vectors]
 
 
 # -- cuspidal spaces -----------------------------------------------------------
@@ -266,15 +343,29 @@ def verify_membership(f, basis):
         raise InsufficientPrecision(
             f"membership needs {need} coefficients, only {avail} available"
         )
-    residual = f.truncate(avail)
+    grid, size = _slots((f,) + basis.elements, avail)
+    residual, den = _int_row(f, grid, size)
     coords = []
     for el in basis.elements:
-        c = residual.coeff(el.valuation())
-        coords.append(c)
-        if c != 0:
-            residual = residual - el.truncate(avail).scale(c)
-    if not residual.is_zero:
-        raise NotInSpan(residual.valuation())
+        slot = el.lead * (grid // el.grid)
+        if slot >= size:
+            raise PrecisionExceeded(
+                f"coefficient of q^{el.valuation()} is beyond the frontier q^{avail}"
+            )
+        c = residual[slot]
+        if c == 0:
+            coords.append(0)
+            continue
+        coords.append(c // den if c % den == 0 else Fraction(c, den))
+        row, el_den = _int_row(el, grid, size)
+        # residual/den - (c/den) * row/el_den, over the denominator den*el_den/g
+        g = gcd(c, el_den)
+        a, b = el_den // g, c // g
+        residual = [a * x - b * y for x, y in zip(residual, row)]
+        den *= a
+    for slot, x in enumerate(residual):
+        if x:
+            raise NotInSpan(_from_index(slot, grid))
     return tuple(coords)
 
 

@@ -20,6 +20,8 @@ from .errors import NotAUnit, OffGrid, PrecisionExceeded, ZeroWithinPrecision
 
 
 def _norm_coeff(c):
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
@@ -60,7 +62,7 @@ class QSeries:
     def __init__(self, grid, lead, coeffs, prec):
         if grid not in (1, 2):
             raise ValueError(f"grid must be 1 or 2, got {grid}")
-        coeffs = [_norm_coeff(c) for c in coeffs]
+        coeffs = [c if type(c) is int else _norm_coeff(c) for c in coeffs]
         if prec is not None:
             if int(prec) != prec:
                 raise OffGrid(f"precision index {prec} is not integral")

@@ -1,13 +1,17 @@
 """Echelonization, full/cusp bases, ladder dispatch, membership, decomposition."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import series_coeffs
+from cuspbase import basis as basis_mod
 from cuspbase import catalog as catalog_mod
 from cuspbase.basis import (
-    echelonize, m_basis, s_basis, structure_decompose, verify_membership,
+    EchelonBasis, echelonize, m_basis, s_basis, structure_decompose,
+    verify_membership,
 )
 from cuspbase.catalog import evaluate, get_catalog
 from cuspbase.dimensions import default_prec, dim_cusp, dim_modular
@@ -47,6 +51,109 @@ def test_echelonize_rank_errors():
                    level=4, weight=4)
     with pytest.raises(InsufficientPrecision):
         echelonize([e4.truncate(2)], 1, None, level=1, weight=40)
+
+
+def naive_rref(rows, width):
+    """Nonzero rows of the reduced row echelon form of a dense rational
+    matrix, by textbook Gauss-Jordan elimination over Fractions."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(width):
+        hit = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if hit is None:
+            continue
+        m[rank], m[hit] = m[hit], m[rank]
+        piv = m[rank][col]
+        m[rank] = [x / piv for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                factor = m[i][col]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return m[:rank]
+
+
+COEFF = st.sampled_from([0, 0, 0, 1, -1, 2]) | st.fractions(
+    min_value=-9, max_value=9, max_denominator=12)
+
+
+@st.composite
+def row_sets(draw):
+    """Dense rational rows with their own frontiers (None: exact), some
+    with leading zeros, zero rows, duplicates and combinations of others."""
+    width = draw(st.integers(2, 9))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "copy", "combo"]))
+        if kind == "fresh" or not rows:
+            lead = draw(st.integers(0, width))
+            dense = [0] * lead + draw(st.lists(COEFF, min_size=1, max_size=width + 3))
+        elif kind == "zero":
+            dense = []
+        elif kind == "copy":
+            dense = list(draw(st.sampled_from(rows))[0])
+        else:
+            picks = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
+            dense = [0] * max(len(src) for src, _ in picks)
+            for src, _ in picks:
+                c = draw(COEFF)
+                for i, x in enumerate(src):
+                    dense[i] += c * x
+        prec = draw(st.sampled_from([None, width, width + 1, width + 3]))
+        if prec is not None:
+            dense = dense[:prec]
+        rows.append((dense, prec))
+    arg = draw(st.sampled_from([None, width]))
+    return rows, arg
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(row_sets(), st.integers(0, 7))
+def test_echelonize_matches_naive_gauss_jordan(case, expected_dim):
+    rows, arg = case
+    precs = [p for _, p in rows if p is not None] + ([arg] if arg else [])
+    assume(precs)
+    common = min(precs)
+    forms = [QSeries(1, 0, dense, prec) for dense, prec in rows]
+    truncated = [(dense + [0] * common)[:common] for dense, _ in rows]
+    rref = naive_rref(truncated, common)
+    if len(rref) > expected_dim:
+        with pytest.raises(RankExcess):
+            echelonize(forms, expected_dim, arg, level=1, weight=0)
+    elif len(rref) < expected_dim:
+        with pytest.raises(RankDeficient) as info:
+            echelonize(forms, expected_dim, arg, level=1, weight=0)
+        assert (info.value.rank, info.value.expected) == (len(rref), expected_dim)
+    else:
+        got = echelonize(forms, expected_dim, arg, level=1, weight=0)
+        want = tuple(QSeries(1, 0, r, common) for r in rref)
+        assert got == EchelonBasis(1, 0, "full", want, common)
+
+
+def test_m_basis_widens_a_short_candidate_cut(monkeypatch):
+    # with one monomial per formal valuation level 3 falls short of the
+    # dimension at every k; the retry with every monomial must still give
+    # the canonical basis
+    canonical = {k: m_basis(3, k) for k in range(2, 13)}
+    catalog_mod.clear_caches()
+    monkeypatch.setattr(basis_mod, "_PER_VALUATION", 1)
+    short = []
+    real = basis_mod.echelonize
+
+    def spy(forms, expected_dim, *args, **kwargs):
+        try:
+            return real(forms, expected_dim, *args, **kwargs)
+        except RankDeficient:
+            short.append(kwargs["weight"])
+            raise
+
+    monkeypatch.setattr(basis_mod, "echelonize", spy)
+    try:
+        for k in range(2, 13):
+            assert m_basis(3, k) == canonical[k], k
+    finally:
+        catalog_mod.clear_caches()
+    assert short == [2 * k for k in range(2, 13)]
 
 
 def test_level8_weight4_monomials():

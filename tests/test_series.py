@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import naive_convolve, series_coeffs
 from cuspbase.errors import (
@@ -176,6 +177,19 @@ def test_invert_roundtrip_random():
         coeffs = [rng.choice([1, -1, 2, 3])] + [rng.randrange(-5, 6) for _ in range(7)]
         s = QSeries.make(0, coeffs, prec=8)
         assert (s * s.invert()).truncate(8) == QSeries.one(prec=8)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from([1, 2]),
+       st.fractions(max_denominator=9).filter(bool),
+       st.lists(st.integers(-9, 9) | st.fractions(max_denominator=9), max_size=12),
+       st.integers(1, 14), st.booleans())
+def test_invert_times_self_is_one(grid, unit, tail, prec, exact):
+    # f.invert() * f == 1 + O(q^prec) for a unit on either grid, given
+    # either with a frontier or as an exact polynomial
+    f = QSeries(grid, 0, [unit] + tail, None if exact else prec * grid)
+    inv = f.invert(prec) if exact else f.invert()
+    assert inv * f == QSeries.one(prec)
 
 
 def test_precision_propagation():
