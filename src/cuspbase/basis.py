@@ -8,6 +8,11 @@ no-op.  Its pivots sit below the Sturm floor, so one basis per (space, N, k)
 is kept, at the highest precision built so far, and lower precisions are
 served by truncating it.
 
+Full spaces take one atom monomial per valuation 0..d-1, d = dim M_{2k}.
+The catalogued atoms are unitary of declared valuation, so these d rows are
+unitary with distinct valuations: triangular, hence independent, hence a
+basis of M_{2k}.
+
 Cuspidal spaces are built by one ladder rule, read from the catalogue: the
 rung for S_{2k} has a start k0 and seeds; all seeds but the last are lifted
 by E2^(k-k0), and the last multiplies the full basis of weight 2(k-k0).
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .catalog import MEMO, evaluate, get_catalog, level1_eisenstein
+from .catalog import MEMO, evaluate, get_catalog
 from .dimensions import (
     DELTA_DATA, default_prec, dim_cusp, dim_modular, sturm_bound,
 )
@@ -29,7 +34,7 @@ from .errors import (
     LadderConditionFailed, NotInSpan, OffGrid, PrecisionExceeded,
     RankDeficient, RankExcess, UnsupportedLevel,
 )
-from .expr import Delta, Gen, Mul, Pow
+from .expr import Gen
 from .series import QSeries, _from_index, _min_prec
 
 
@@ -188,39 +193,6 @@ def _memo_basis(space, N, k, prec, build):
 
 # -- full spaces --------------------------------------------------------------
 
-def _monomial_exponents(weights, total):
-    """All exponent vectors e with sum e_i * weights_i == total, lex order."""
-    out = []
-
-    def rec(i, remaining, head):
-        if i == len(weights):
-            if remaining == 0:
-                out.append(tuple(head))
-            return
-        if remaining == 0:
-            out.append(tuple(head + [0] * (len(weights) - i)))
-            return
-        step = weights[i]
-        for e in range(remaining // step + 1):
-            rec(i + 1, remaining - e * step, head + [e])
-
-    rec(0, total, [])
-    return out
-
-
-def _level1_candidates(k):
-    q, r = divmod(k - 1, 6)
-    r += 1
-    cands = []
-    if r == 6:
-        cands.append(Pow(Delta(1), q + 1))
-    top = q - 1 if r == 1 else q
-    for n in range(top + 1):
-        e = level1_eisenstein(k - 6 * n)
-        cands.append(Mul((Pow(Delta(1), n), e)) if n else e)
-    return cands
-
-
 def m_basis(N, k, prec=None):
     """Canonical basis of M_{2k}(Gamma0(N)) from catalogued atom monomials."""
     if k < 0:
@@ -230,66 +202,47 @@ def m_basis(N, k, prec=None):
     return _memo_basis("full", N, k, prec, _m_basis_build)
 
 
-# candidate monomials kept per formal valuation on the first attempt
-_PER_VALUATION = 3
-
-
 def _m_basis_build(N, k, prec):
-    expected = dim_modular(N, 2 * k)
     if k == 0:
         return EchelonBasis(N, 0, "full", (QSeries.one(prec),), prec)
-    if N == 1:
-        attempts = [[evaluate(c, prec) for c in _level1_candidates(k)]]
-    else:
-        attempts = _monomial_attempts(get_catalog(N).span_atoms, k, prec)
-    for series in attempts:
-        try:
-            return echelonize(series, expected, prec, level=N, weight=2 * k)
-        except RankDeficient as exc:
-            deficient = exc
-    raise IncompleteSpan(N, 2 * k, deficient.rank, expected) from deficient
-
-
-def _monomial_attempts(atoms, k, prec):
-    """Candidate lists for M_{2k}: first a few monomials per formal valuation,
-    then, only if those fall short of the dimension, every monomial.
-
-    The cut keeps every pivot reachable at every catalogued level up to
-    weight 60, but nothing proves it does in general.
-    """
-    vectors = _monomial_exponents([a.weight for a in atoms], 2 * k)
-
-    def valuation(vec):
-        return sum(e * a.valuation for e, a in zip(vec, atoms))
-
-    vectors.sort(key=lambda v: (valuation(v), v))
-    chosen = []
-    per_val = {}
-    for vec in vectors:
-        val = valuation(vec)
-        if per_val.get(val, 0) < _PER_VALUATION:
-            per_val[val] = per_val.get(val, 0) + 1
-            chosen.append(vec)
-    atom_series = [evaluate(a.expr, prec) for a in atoms]
-    power_memo = {}
-
-    def power(i, e):
-        got = power_memo.get((i, e))
-        if got is None:
-            got = atom_series[i] ** e
-            power_memo[(i, e)] = got
-        return got
-
-    def product(vec):
+    expected = dim_modular(N, 2 * k)
+    atoms = get_catalog(N).span_atoms
+    by_valuation = _staircase(atoms, k)
+    chosen = [by_valuation[v] for v in range(expected) if v in by_valuation]
+    if len(chosen) < expected:
+        raise IncompleteSpan(N, 2 * k, len(chosen), expected)
+    powers = []
+    for atom, top in zip(atoms, map(max, zip(*chosen))):
+        row = [QSeries.one()]
+        if top:
+            series = evaluate(atom.expr, prec)
+            for _ in range(top):
+                row.append(row[-1] * series)
+        powers.append(row)
+    rows = []
+    for vec in chosen:
         prod = QSeries.one()
-        for i, e in enumerate(vec):
+        for row, e in zip(powers, vec):
             if e:
-                prod = prod * power(i, e)
-        return prod
+                prod = prod * row[e]
+        rows.append(prod)
+    try:
+        return echelonize(rows, expected, prec, level=N, weight=2 * k)
+    except RankDeficient as exc:
+        raise IncompleteSpan(N, 2 * k, exc.rank, expected) from exc
 
-    yield [product(vec) for vec in chosen]
-    if len(chosen) < len(vectors):
-        yield [product(vec) for vec in vectors]
+
+def _staircase(atoms, k):
+    """valuation -> exponent vector of an atom monomial of weight 2k with
+    that valuation: the first one found, weight by weight, atom by atom."""
+    reach = {0: {0: (0,) * len(atoms)}}
+    for w in range(2, 2 * k + 1, 2):
+        found = reach[w] = {}
+        for i, atom in enumerate(atoms):
+            for val, vec in reach.get(w - atom.weight, {}).items():
+                found.setdefault(val + atom.valuation,
+                                 vec[:i] + (vec[i] + 1,) + vec[i + 1:])
+    return reach[2 * k]
 
 
 # -- cuspidal spaces -----------------------------------------------------------

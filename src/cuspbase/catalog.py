@@ -29,7 +29,8 @@ from .weierstrass import TorsionPoint, wpa_expand
 
 @dataclass(frozen=True)
 class SpanAtom:
-    """One generator usable in monomial spanning sets for the full spaces."""
+    """A unitary form of the declared weight and valuation; the full spaces
+    are spanned by monomials in a level's atoms."""
 
     name: str
     expr: object
@@ -92,7 +93,12 @@ def _build_catalogs():
 
     # -- level 1: Eisenstein monomials, no weight-2 form exists ----------
     cats[1] = LevelCatalog(
-        level=1, delta=deltas[1], generators={}, span_atoms=(),
+        level=1, delta=deltas[1], generators={},
+        span_atoms=(
+            SpanAtom("E4_1", Eis(4, 1), 4, 0),
+            SpanAtom("E6_1", Eis(6, 1), 6, 0),
+            SpanAtom("delta_1", Delta(1), 12, 1),
+        ),
         seeds=(Delta(1),), k0=6, base_seed=None, reconstructed=frozenset(),
     )
 
@@ -118,11 +124,8 @@ def _build_catalogs():
         level=3, delta=deltas[3], generators=g3,
         span_atoms=(
             SpanAtom("E2_3_0", Gen(2, 3, 0), 2, 0),
+            SpanAtom("E4_3_1", scaled(1, 240, sub(Eis(4, 1), Eis(4, 3))), 4, 1),
             SpanAtom("delta_3", Delta(3), 6, 2),
-            SpanAtom("E4_s1", Eis(4, 1), 4, 0),
-            SpanAtom("E4_s3", Eis(4, 3), 4, 0),
-            SpanAtom("E6_s1", Eis(6, 1), 6, 0),
-            SpanAtom("E6_s3", Eis(6, 3), 6, 0),
         ),
         seeds=(eta((1, 6), (3, 6)),),
         k0=3, base_seed=None,
@@ -313,15 +316,6 @@ def get_catalog(N):
     if cat is None:
         raise UnsupportedLevel(f"level {N} is outside the catalogued range 1..10")
     return cat
-
-
-def level1_eisenstein(half_weight):
-    """The unitary valuation-0 Eisenstein monomial of weight 2k at level 1."""
-    if half_weight < 2:
-        raise ValueError("level 1 has no positive-weight form below weight 4")
-    if half_weight % 2 == 0:
-        return Pow(Eis(4, 1), half_weight // 2)
-    return mul(Pow(Eis(4, 1), (half_weight - 3) // 2), Eis(6, 1))
 
 
 # -- evaluation ---------------------------------------------------------------

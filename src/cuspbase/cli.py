@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import verify as _verify
 from .basis import m_basis, s_basis
@@ -24,20 +23,15 @@ from .errors import (
     UnknownAtom, UnsupportedLevel,
 )
 from .eta import EtaQuotient, eta_expand
+from .expr import _frac_str
 from .parse import parse_expr
 from .weierstrass import TorsionPoint, wpa_expand
 
 FORMAT_VERSION = "cuspbase.v1"
 
 
-def _coeff_str(c):
-    f = Fraction(c)
-    return str(f.numerator) if f.denominator == 1 else \
-        f"{f.numerator}/{f.denominator}"
-
-
 def _series_row(series, upto):
-    return " ".join(_coeff_str(series.coeff(e)) for e in range(upto))
+    return " ".join(_frac_str(series.coeff(e)) for e in range(upto))
 
 
 def _parse_levels(text):
@@ -76,6 +70,14 @@ def _env_prec():
     return value
 
 
+def _prec(args, default):
+    """--prec, else CUSPBASE_PREC, else the default; only None is unset."""
+    if args.prec is not None:
+        return args.prec
+    env = _env_prec()
+    return default if env is None else env
+
+
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_dims(args, out):
@@ -97,7 +99,7 @@ def cmd_basis(args, out):
     if w % 2 or w < 2:
         raise ValueError("weight must be an even integer >= 2")
     k = w // 2
-    prec = args.prec or _env_prec() or default_prec(N, w)
+    prec = _prec(args, default_prec(N, w))
     floor = sturm_bound(N, w) + 1
     if prec < floor:
         raise ValueError(f"precision {prec} is below the floor {floor} "
@@ -115,7 +117,7 @@ def cmd_basis(args, out):
             row = {
                 "level": N, "weight": w, "space": args.space, "index": i,
                 "valuation": int(el.valuation()),
-                "coeffs": [_coeff_str(el.coeff(e)) for e in range(upto)],
+                "coeffs": [_frac_str(el.coeff(e)) for e in range(upto)],
             }
             print(json.dumps(row, sort_keys=True), file=out)
     else:
@@ -127,7 +129,7 @@ def cmd_basis(args, out):
 
 
 def cmd_expand(args, out):
-    prec = args.prec or _env_prec() or 16
+    prec = _prec(args, 16)
     if prec < 1:
         raise ValueError("precision must be positive")
     if args.eta is not None:

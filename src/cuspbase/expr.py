@@ -204,15 +204,26 @@ def _frac_str(f):
 def _precedence(expr):
     if isinstance(expr, Add):
         return 1
-    if isinstance(expr, Mul):
+    if isinstance(expr, Mul) or isinstance(expr, Const) and expr.value < 0:
         return 2
     if isinstance(expr, (Pow, Subst)):
         return 3
     return 4
 
 
+def _wrap(expr, floor):
+    """render(expr), in parentheses when it binds looser than ``floor``."""
+    s = render(expr)
+    return f"({s})" if _precedence(expr) < floor else s
+
+
 def render(expr):
-    """Canonical text for an expression, in the grammar parse() accepts."""
+    """Canonical text for an expression, in the grammar parse() accepts.
+
+    Sums and products are flat in the grammar, so a nested sum or product
+    is parenthesized, and a leading scalar carries the product's sign:
+    parse_expr(render(e)) == e for the trees the catalogue builds.
+    """
     if isinstance(expr, Const):
         return _frac_str(expr.value)
     if isinstance(expr, Eta):
@@ -230,37 +241,18 @@ def render(expr):
     if isinstance(expr, Lit):
         return f"qser({expr.lead}: " + ",".join(_frac_str(c) for c in expr.coeffs) + ")"
     if isinstance(expr, Add):
-        parts = []
-        for i, t in enumerate(expr.terms):
-            s = render(t)
-            if i == 0:
-                parts.append(s)
-            elif s.startswith("-"):
-                parts.append("-" + s[1:])
-            else:
-                parts.append("+" + s)
-        return "".join(parts)
+        parts = [_wrap(t, 2) for t in expr.terms]
+        return "".join(s if i == 0 or s.startswith("-") else "+" + s
+                       for i, s in enumerate(parts))
     if isinstance(expr, Mul):
         factors = list(expr.factors)
-        sign = ""
-        if factors and factors[0] == Const(Fraction(-1)) and len(factors) > 1:
-            sign = "-"
-            factors = factors[1:]
-        parts = []
-        for f in factors:
-            s = render(f)
-            if _precedence(f) < 2:
-                s = f"({s})"
-            parts.append(s)
-        return sign + "*".join(parts)
+        head = ""
+        if len(factors) > 1 and isinstance(factors[0], Const):
+            c = factors.pop(0).value
+            head = "-" if c == -1 else _frac_str(c) + "*"
+        return head + "*".join(_wrap(f, 3) for f in factors)
     if isinstance(expr, Pow):
-        s = render(expr.base)
-        if _precedence(expr.base) < 4:
-            s = f"({s})"
-        return f"{s}^{expr.exponent}"
+        return f"{_wrap(expr.base, 4)}^{expr.exponent}"
     if isinstance(expr, Subst):
-        s = render(expr.child)
-        if _precedence(expr.child) < 4:
-            s = f"({s})"
-        return f"{s}@{expr.d}"
+        return f"{_wrap(expr.child, 4)}@{expr.d}"
     raise TypeError(f"not a form expression: {expr!r}")

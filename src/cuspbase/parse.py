@@ -74,24 +74,34 @@ class _Parser:
         return node
 
     def expression(self):
-        terms = [self.term()]
+        negate = self.peek() == "-"
+        if negate:
+            self.pos += 1
+        terms = [self.term(negate)]
         while True:
             ch = self.peek()
             if ch == "+":
                 self.pos += 1
-                terms.append(self.term())
+                terms.append(self.term(False))
             elif ch == "-":
                 self.pos += 1
-                terms.append(Mul((Const(Fraction(-1)), self.term())))
+                terms.append(self.term(True))
             else:
                 break
         return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
-    def term(self):
+    def term(self, negate):
+        """A product; a negated one takes the sign into a leading scalar
+        (-3*f is Const(-3) times f), else as a leading factor -1."""
         factors = [self.factor()]
         while self.peek() == "*":
             self.pos += 1
             factors.append(self.factor())
+        if negate:
+            if isinstance(factors[0], Const):
+                factors[0] = Const(-factors[0].value)
+            else:
+                factors.insert(0, Const(Fraction(-1)))
         return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
     def factor(self):

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog as _catalog
-from .basis import m_basis, s_basis, structure_decompose, verify_membership
+from .basis import (
+    echelonize, m_basis, s_basis, structure_decompose, verify_membership,
+)
 from .catalog import clear_caches  # noqa: F401  (public entry point)
 from .dimensions import (
     DELTA_DATA, SUPPORTED_LEVELS, count_cusps, default_prec, dim_cusp,
@@ -248,7 +250,6 @@ def check_decompositions(N, k_max=12, materialize=True):
 
 
 def check_basis_validity(N, k_max=12):
-    from .basis import echelonize
     bad = []
     for k in range(1, k_max + 1):
         for space, build, dim in (

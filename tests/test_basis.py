@@ -13,13 +13,14 @@ from cuspbase.basis import (
     EchelonBasis, echelonize, m_basis, s_basis, structure_decompose,
     verify_membership,
 )
-from cuspbase.catalog import evaluate, get_catalog
+from cuspbase.catalog import SpanAtom, delta_weight, evaluate, get_catalog
 from cuspbase.dimensions import default_prec, dim_cusp, dim_modular
 from cuspbase.eisenstein import eisenstein_series
 from cuspbase.errors import (
-    InsufficientPrecision, LadderConditionFailed, NotInSpan, RankDeficient,
-    RankExcess, UnsupportedLevel,
+    IncompleteSpan, InsufficientPrecision, LadderConditionFailed, NotInSpan,
+    RankDeficient, RankExcess, UnsupportedLevel,
 )
+from cuspbase.expr import Gen, Pow, expr_weight
 from cuspbase.series import QSeries
 
 
@@ -130,30 +131,59 @@ def test_echelonize_matches_naive_gauss_jordan(case, expected_dim):
         assert got == EchelonBasis(1, 0, "full", want, common)
 
 
-def test_m_basis_widens_a_short_candidate_cut(monkeypatch):
-    # with one monomial per formal valuation level 3 falls short of the
-    # dimension at every k; the retry with every monomial must still give
-    # the canonical basis
-    canonical = {k: m_basis(3, k) for k in range(2, 13)}
+def test_span_atoms_are_unitary_of_declared_weight_and_valuation():
+    for n in range(1, 11):
+        for atom in get_catalog(n).span_atoms:
+            f = evaluate(atom.expr, atom.valuation + 4)
+            assert f.valuation() == atom.valuation, (n, atom.name)
+            assert f.leading_coefficient() == 1, (n, atom.name)
+            assert expr_weight(atom.expr, delta_weight) == atom.weight, (n, atom.name)
+
+
+def test_staircase_covers_every_valuation_once():
+    # combinatorics only: one exponent vector for each valuation 0..d-1 of
+    # M_2k, and each of weight 2k with the valuation it is filed under
+    for n in range(1, 11):
+        atoms = get_catalog(n).span_atoms
+        for k in range(61):
+            chosen = basis_mod._staircase(atoms, k)
+            assert sorted(chosen) == list(range(dim_modular(n, 2 * k))), (n, k)
+            for val, vec in chosen.items():
+                assert sum(e * a.weight for e, a in zip(vec, atoms)) == 2 * k
+                assert sum(e * a.valuation for e, a in zip(vec, atoms)) == val
+
+
+def incomplete_span_with_level3_atoms(monkeypatch, atoms, k):
+    """The IncompleteSpan that m_basis(3, k) raises with level 3's span
+    atoms replaced by ``atoms``."""
+    doctored = dataclasses.replace(get_catalog(3), span_atoms=tuple(atoms))
+    monkeypatch.setitem(catalog_mod._CATALOGS, 3, doctored)
     catalog_mod.clear_caches()
-    monkeypatch.setattr(basis_mod, "_PER_VALUATION", 1)
-    short = []
-    real = basis_mod.echelonize
-
-    def spy(forms, expected_dim, *args, **kwargs):
-        try:
-            return real(forms, expected_dim, *args, **kwargs)
-        except RankDeficient:
-            short.append(kwargs["weight"])
-            raise
-
-    monkeypatch.setattr(basis_mod, "echelonize", spy)
     try:
-        for k in range(2, 13):
-            assert m_basis(3, k) == canonical[k], k
+        with pytest.raises(IncompleteSpan) as info:
+            m_basis(3, k)
     finally:
         catalog_mod.clear_caches()
-    assert short == [2 * k for k in range(2, 13)]
+    return info.value
+
+
+@pytest.mark.parametrize("k, rank, expected", [(2, 1, 2), (3, 2, 3), (5, 2, 4)])
+def test_incomplete_span_when_a_valuation_is_unreachable(monkeypatch, k, rank,
+                                                         expected):
+    # without its valuation-1 atom, level 3 reaches only even valuations
+    atoms = [a for a in get_catalog(3).span_atoms if a.valuation != 1]
+    err = incomplete_span_with_level3_atoms(monkeypatch, atoms, k)
+    assert (err.level, err.weight, err.rank, err.expected) == (3, 2 * k, rank, expected)
+
+
+def test_incomplete_span_when_an_atom_lies_about_its_valuation(monkeypatch):
+    # an atom filed under valuation 1 that is really E2^2 duplicates the
+    # valuation-0 row, so elimination falls a rank short
+    fake = SpanAtom("fake", Pow(Gen(2, 3, 0), 2), 4, 1)
+    atoms = [fake if a.valuation == 1 else a for a in get_catalog(3).span_atoms]
+    err = incomplete_span_with_level3_atoms(monkeypatch, atoms, 2)
+    assert (err.rank, err.expected) == (1, 2)
+    assert isinstance(err.__cause__, RankDeficient)
 
 
 def test_level8_weight4_monomials():

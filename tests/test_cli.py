@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cuspbase.cli import main
 from cuspbase.verify import PRINTED_SERIES
 
@@ -82,6 +84,17 @@ def test_basis_jsonl():
 def test_basis_precision_floor():
     code, _ = run_cli(["basis", "--level", "2", "--weight", "8", "--prec", "2"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--expr", "E4(1)", "--prec", "0"],
+    ["basis", "--level", "2", "--weight", "8", "--prec", "0"],
+])
+def test_prec_zero_is_a_usage_error(argv, capsys):
+    # an explicit --prec 0 is a value, not a missing option
+    code, text = run_cli(argv)
+    assert code == 2 and text == ""
+    assert "cuspbase: error:" in capsys.readouterr().err
 
 
 def test_expand_eta():

@@ -3,13 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import series_coeffs
-from cuspbase.catalog import delta_weight, evaluate, get_catalog
+from cuspbase.catalog import (
+    catalog_identities, delta_weight, evaluate, get_catalog, named_forms,
+)
 from cuspbase.errors import ExprSyntaxError, UnknownAtom, WeightMismatch
 from cuspbase.expr import (
     Add, Const, Delta, Eis, Eta, Gen, Lit, Mul, Pow, Subst, W2, Wpa,
-    expr_weight, render, sub,
+    add, expr_weight, mul, neg, render, scaled, sub,
 )
 from cuspbase.parse import parse_expr
 
@@ -52,6 +55,69 @@ def test_round_trip():
         rendered = render(tree)
         assert rendered.replace(" ", "") == text.replace(" ", "")
         assert parse_expr(rendered) == tree
+
+
+def catalogue_expressions():
+    out = []
+    for n in range(1, 11):
+        cat = get_catalog(n)
+        out += list(named_forms(n).values()) + list(cat.generators.values())
+        out += [cat.delta] + [a.expr for a in cat.span_atoms]
+        for _, lhs, rhs, _ in catalog_identities(n):
+            out += [lhs, rhs]
+    return out
+
+
+def test_render_round_trips_every_catalogue_expression():
+    for tree in catalogue_expressions():
+        assert parse_expr(render(tree)) == tree, render(tree)
+
+
+def test_render_keeps_signs_and_nesting():
+    x, y = Wpa(2, 0, 5), Wpa(4, 0, 5)
+    assert render(Mul((Const(-1), x, y))) == "-wpa(2,0,5)*wpa(4,0,5)"
+    assert render(scaled(-1, 128, mul(x, y))) == "-1/128*(wpa(2,0,5)*wpa(4,0,5))"
+    assert render(add(x, add(x, y))) == "wpa(2,0,5)+(wpa(2,0,5)+wpa(4,0,5))"
+    assert render(Pow(Const(-3), 2)) == "(-3)^2"
+    assert render(mul(x, Const(-3))) == "wpa(2,0,5)*(-3)"
+    for tree in (Mul((Const(-1), x, y)), scaled(-1, 128, mul(x, y)),
+                 add(x, add(x, y)), Pow(Const(-3), 2), mul(x, Const(-3))):
+        assert parse_expr(render(tree)) == tree
+
+
+# leaves by weight: scalars, then cheap weight-2 and weight-4 atoms
+LEAVES = {
+    0: [Const(2), Const(-1), Const(Fraction(-3, 4)), Const(Fraction(5, 3))],
+    2: [Wpa(2, 0, 5), W2(3), Gen(2, 4, 1), Wpa(1, 1, 4)],
+    4: [Eis(4, 1), Eis(4, 2), Delta(2), Gen(4, 5, 1)],
+}
+
+
+@st.composite
+def trees(draw, weight, depth=3):
+    """Expression trees of the given weight built with the catalogue's
+    builders, with negative and fractional scalars at every depth."""
+    op = draw(st.sampled_from(["leaf", "add", "mul", "scaled", "sub", "neg"]))
+    if depth == 0 or op == "leaf":
+        return draw(st.sampled_from(LEAVES[weight]))
+    child = trees(weight, depth - 1)
+    if op == "add":
+        return add(*draw(st.lists(child, min_size=2, max_size=3)))
+    if op == "sub":
+        return sub(draw(child), draw(child))
+    if op == "neg":
+        return neg(draw(child))
+    if op == "scaled":
+        p = draw(st.integers(-9, 9).filter(bool))
+        return scaled(p, draw(st.integers(1, 5)), draw(child))
+    left = draw(st.sampled_from(range(0, weight + 1, 2)))
+    return mul(draw(trees(left, depth - 1)), draw(trees(weight - left, depth - 1)))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from([0, 2, 4]).flatmap(trees), st.integers(1, 8))
+def test_render_round_trip_keeps_the_value(tree, prec):
+    assert evaluate(parse_expr(render(tree)), prec) == evaluate(tree, prec)
 
 
 def test_syntax_errors_carry_position():
