@@ -203,8 +203,6 @@ def m_basis(N, k, prec=None):
 
 
 def _m_basis_build(N, k, prec):
-    if k == 0:
-        return EchelonBasis(N, 0, "full", (QSeries.one(prec),), prec)
     expected = dim_modular(N, 2 * k)
     atoms = get_catalog(N).span_atoms
     by_valuation = _staircase(atoms, k)
@@ -334,7 +332,7 @@ class DecompositionReport:
     basis_matches: object       # True/False when materialized, else None
 
 
-def structure_decompose(N, k, materialize=True, prec=None):
+def structure_decompose(N, k, materialize=True):
     """Split S_{2k} into delta-power pieces and check the dimension count.
 
     Writes k = q*(rho/2) + r with 2 <= r <= rho/2 + 1.  The pieces are the
@@ -362,7 +360,7 @@ def structure_decompose(N, k, materialize=True, prec=None):
         )
     matches = None
     if materialize:
-        target = prec if prec is not None else default_prec(N, 2 * k)
+        target = default_prec(N, 2 * k)
         delta = evaluate(get_catalog(N).delta, target)
         rows = []
         for n in range(q):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dimensions import DELTA_DATA
 from .eisenstein import eisenstein_series, weight2_level_combo
 from .errors import UnsupportedLevel
 from .eta import EtaQuotient, eta_expand
@@ -58,15 +57,9 @@ class LevelCatalog:
         the ladder period use the base seed alone, from its own half-weight.
         """
         if k % self.ladder_period:
-            start = expr_weight(self.base_seed, delta_weight) // 2
+            start = expr_weight(self.base_seed) // 2
             return start, (self.base_seed,)
         return self.k0, self.seeds
-
-
-def delta_weight(N):
-    if N not in DELTA_DATA:
-        raise UnsupportedLevel(f"no structuring form catalogued for level {N}")
-    return DELTA_DATA[N][0]
 
 
 def _products_of_weight2(level, count=5):
@@ -329,10 +322,9 @@ def clear_caches():
     MEMO.clear()
 
 
-def evaluate(expr, prec, _check=True):
+def evaluate(expr, prec):
     """Exact expansion of an expression tree below exponent prec."""
-    if _check:
-        expr_weight(expr, delta_weight)  # raises WeightMismatch on bad trees
+    expr_weight(expr)  # raises WeightMismatch on bad trees
     if prec < 1:
         raise ValueError("precision must be a positive exponent bound")
     return _eval(expr, int(prec)).truncate(prec)

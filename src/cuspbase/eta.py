@@ -78,9 +78,6 @@ class EtaQuotient:
                 raise ValueError(f"expected scale:exponent, got {chunk!r}") from None
         return cls(pairs)
 
-    def expand(self, prec):
-        return eta_expand(self, prec)
-
 
 def _euler_factor_list(m, rel):
     """Coefficients of prod_{k>=1} (1 - q^{mk}) below exponent rel."""

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import WeightMismatch
+from .dimensions import DELTA_DATA
+from .errors import UnsupportedLevel, WeightMismatch
 from .eta import EtaQuotient
 
 
@@ -106,12 +107,12 @@ class Subst:
     d: int
 
 
-def expr_weight(expr, delta_weight=None):
+def expr_weight(expr):
     """Structural weight of an expression; None when undetermined.
 
-    ``delta_weight`` maps a level to the weight of its Delta reference (the
-    catalogue provides it; tests may pass a plain dict).  Raises
-    WeightMismatch when summands disagree.
+    A Delta reference weighs what ``DELTA_DATA`` records for its level
+    (UnsupportedLevel when none is).  Raises WeightMismatch when summands
+    disagree.
     """
     if isinstance(expr, Const):
         return 0 if expr.value != 0 else None
@@ -127,16 +128,16 @@ def expr_weight(expr, delta_weight=None):
     if isinstance(expr, Gen):
         return expr.weight
     if isinstance(expr, Delta):
-        if delta_weight is None:
-            from .catalog import delta_weight as _dw
-            delta_weight = _dw
-        return delta_weight(expr.level)
+        if expr.level not in DELTA_DATA:
+            raise UnsupportedLevel(
+                f"no structuring form catalogued for level {expr.level}")
+        return DELTA_DATA[expr.level][0]
     if isinstance(expr, Lit):
         return None
     if isinstance(expr, Add):
         agreed = None
         for t in expr.terms:
-            w = expr_weight(t, delta_weight)
+            w = expr_weight(t)
             if w is None:
                 continue
             if agreed is None:
@@ -147,16 +148,16 @@ def expr_weight(expr, delta_weight=None):
     if isinstance(expr, Mul):
         total = 0
         for f in expr.factors:
-            w = expr_weight(f, delta_weight)
+            w = expr_weight(f)
             if w is None:
                 return None
             total += w
         return total
     if isinstance(expr, Pow):
-        w = expr_weight(expr.base, delta_weight)
+        w = expr_weight(expr.base)
         return None if w is None else w * expr.exponent
     if isinstance(expr, Subst):
-        return expr_weight(expr.child, delta_weight)
+        return expr_weight(expr.child)
     raise TypeError(f"not a form expression: {expr!r}")
 
 

@@ -376,17 +376,14 @@ class QSeries:
         return s
 
 
-def first_mismatch(a, b, upto=None):
+def first_mismatch(a, b):
     """First exponent below the common frontier where two series differ.
 
-    Returns None when the series agree on every commonly known coefficient
-    (optionally capped at the exponent ``upto``, exclusive).
+    Returns None when the series agree on every commonly known coefficient.
     """
     g = max(a.grid, b.grid)
     ax, bx = a._upcast(g), b._upcast(g)
     hi = _min_prec(ax.prec, bx.prec)
-    if upto is not None:
-        hi = _min_prec(hi, _to_index(upto, g))
     if hi is None:
         hi = max(ax.lead + len(ax.coeffs), bx.lead + len(bx.coeffs))
     lo = min(ax.lead, bx.lead)

@@ -236,17 +236,17 @@ def check_delta_multiplication(N, k_max=10):
                        f"membership holds for k in {k0}..{k_max}")
 
 
-def check_decompositions(N, k_max=12, materialize=True):
+def check_decompositions(N, k_max=12):
     bad = []
     for k in range(2, k_max + 1):
-        report = structure_decompose(N, k, materialize=materialize)
+        report = structure_decompose(N, k)
         if report.total != report.expected or report.basis_matches is False:
             bad.append((k, report.total, report.expected, report.basis_matches))
     if bad:
         return CheckResult(f"structure:decompose:N={N}", False, f"failures: {bad}")
-    extra = " and materialized bases match" if materialize else ""
     return CheckResult(f"structure:decompose:N={N}", True,
-                       f"dimension sums match for k <= {k_max}{extra}")
+                       f"dimension sums match for k <= {k_max} "
+                       "and materialized bases match")
 
 
 def check_basis_validity(N, k_max=12):
@@ -341,19 +341,18 @@ def reference_checks(N):
     return out
 
 
-def structure_checks(N, k_max_dims=50, k_max_basis=12, k_max_decomp=12,
-                     k_max_mul=10, valuation_extra=8, materialize=True):
+def structure_checks(N):
     return [
-        check_dim_shift(N, k_max_dims),
+        check_dim_shift(N),
         check_ladder_dims(N),
-        check_seed_valuation_law(N, valuation_extra),
-        check_basis_validity(N, k_max_basis),
-        check_decompositions(N, k_max_decomp, materialize=materialize),
-        check_delta_multiplication(N, k_max_mul),
+        check_seed_valuation_law(N),
+        check_basis_validity(N),
+        check_decompositions(N),
+        check_delta_multiplication(N),
     ]
 
 
-def run_suite(levels=None, suite="all", **limits):
+def run_suite(levels=None, suite="all"):
     """Run the requested checks; returns (results, all_ok)."""
     if levels is None:
         levels = SUPPORTED_LEVELS
@@ -362,5 +361,5 @@ def run_suite(levels=None, suite="all", **limits):
         if suite in ("paper", "all"):
             results.extend(reference_checks(N))
         if suite in ("structure", "all"):
-            results.extend(structure_checks(N, **limits))
+            results.extend(structure_checks(N))
     return results, all(r.ok for r in results)

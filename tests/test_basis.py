@@ -13,7 +13,7 @@ from cuspbase.basis import (
     EchelonBasis, echelonize, m_basis, s_basis, structure_decompose,
     verify_membership,
 )
-from cuspbase.catalog import SpanAtom, delta_weight, evaluate, get_catalog
+from cuspbase.catalog import SpanAtom, evaluate, get_catalog
 from cuspbase.dimensions import default_prec, dim_cusp, dim_modular
 from cuspbase.eisenstein import eisenstein_series
 from cuspbase.errors import (
@@ -137,7 +137,7 @@ def test_span_atoms_are_unitary_of_declared_weight_and_valuation():
             f = evaluate(atom.expr, atom.valuation + 4)
             assert f.valuation() == atom.valuation, (n, atom.name)
             assert f.leading_coefficient() == 1, (n, atom.name)
-            assert expr_weight(atom.expr, delta_weight) == atom.weight, (n, atom.name)
+            assert expr_weight(atom.expr) == atom.weight, (n, atom.name)
 
 
 def test_staircase_covers_every_valuation_once():
@@ -208,6 +208,17 @@ def test_m_basis_counts_all_levels():
             assert len(b) == dim_modular(n, 2 * k), (n, k)
             vals = b.valuations
             assert vals == tuple(range(len(vals))), (n, k)
+
+
+def test_weight_zero_keeps_the_sturm_floor():
+    # M_0 is the constants: the staircase yields the one row 1, and a
+    # precision at or below the Sturm bound raises as at every other weight
+    for n in (1, 3, 10):
+        b = m_basis(n, 0, 2)
+        assert b.elements == (QSeries.one(2),) and b.prec == 2
+        for prec in (1, 0, -2):
+            with pytest.raises(InsufficientPrecision):
+                m_basis(n, 0, prec)
 
 
 def test_s_basis_examples():

@@ -1,9 +1,11 @@
 """Eta quotient expansion against the published series and a naive oracle."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import naive_eta_product_part, series_coeffs
 from cuspbase.catalog import eta_leaves
@@ -92,6 +94,35 @@ def test_naive_oracle_agreement_small():
         s = eta_expand(quotient, v + depth)
         oracle = naive_eta_product_part(quotient.terms, depth)
         assert [s.coeff(v + i) for i in range(depth)] == oracle
+
+
+@st.composite
+def quotients(draw):
+    """Scales 1..12, exponents -30..30; the scale-1 exponent puts sum m*r_m
+    in the drawn class mod 24: integral, half-integral or 1/24 valuation."""
+    terms = draw(st.dictionaries(st.integers(2, 12), st.integers(-30, 30),
+                                 max_size=3))
+    residue = draw(st.sampled_from([0, 12, 1]))
+    weighted = sum(m * r for m, r in terms.items())
+    terms[1] = (residue - weighted) % 24 - 24 * draw(st.booleans())
+    return EtaQuotient(terms)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(quotients(), st.integers(-3, 60))
+def test_expansion_matches_naive_product(quotient, offset):
+    v = Fraction(quotient.valuation)
+    prec = math.floor(v) + offset
+    if v.denominator > 2:
+        with pytest.raises(FractionalValuation):
+            eta_expand(quotient, prec)
+        return
+    s = eta_expand(quotient, prec)
+    assert s.prec_exponent == prec
+    depth = max(math.ceil(prec - v), 0)
+    oracle = naive_eta_product_part(quotient.terms, depth) if depth else []
+    assert s.items() == [(v + i, c) for i, c in enumerate(oracle) if c]
+    assert all(type(c) is int for _, c in s.items())
 
 
 def test_parse_and_render():

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import series_coeffs
 from cuspbase.catalog import (
-    catalog_identities, delta_weight, evaluate, get_catalog, named_forms,
+    catalog_identities, evaluate, get_catalog, named_forms,
 )
-from cuspbase.errors import ExprSyntaxError, UnknownAtom, WeightMismatch
+from cuspbase.errors import (
+    ExprSyntaxError, UnknownAtom, UnsupportedLevel, WeightMismatch,
+)
 from cuspbase.expr import (
     Add, Const, Delta, Eis, Eta, Gen, Lit, Mul, Pow, Subst, W2, Wpa,
     add, expr_weight, mul, neg, render, scaled, sub,
@@ -133,11 +135,13 @@ def test_syntax_errors_carry_position():
 
 
 def test_weight_checking():
-    assert expr_weight(parse_expr("E[2,4,0]^3"), delta_weight) == 6
-    assert expr_weight(parse_expr("delta(7)"), delta_weight) == 6
-    assert expr_weight(parse_expr("qser(0: 1,2)"), delta_weight) is None
+    assert expr_weight(parse_expr("E[2,4,0]^3")) == 6
+    assert expr_weight(parse_expr("delta(7)")) == 6
+    assert expr_weight(parse_expr("qser(0: 1,2)")) is None
     with pytest.raises(WeightMismatch):
-        expr_weight(parse_expr("E4(1)+E6(1)"), delta_weight)
+        expr_weight(parse_expr("E4(1)+E6(1)"))
+    with pytest.raises(UnsupportedLevel):
+        expr_weight(Delta(11))
     with pytest.raises(WeightMismatch):
         evaluate(parse_expr("delta(2)+E[2,2,0]"), 6)
 

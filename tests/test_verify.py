@@ -54,7 +54,5 @@ def test_delta_multiplication_check():
 
 
 def test_structure_suite_sampled():
-    results, ok = run_suite(levels=[4], suite="structure", k_max_dims=30,
-                            k_max_basis=8, k_max_decomp=8, k_max_mul=6,
-                            valuation_extra=5)
+    results, ok = run_suite(levels=[4], suite="structure")
     assert ok, [r.detail for r in results if not r.ok]
