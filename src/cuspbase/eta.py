@@ -80,15 +80,21 @@ class EtaQuotient:
 
 
 def _euler_factor_list(m, rel):
-    """Coefficients of prod_{k>=1} (1 - q^{mk}) below exponent rel."""
+    """Coefficients of prod_{k>=1} (1 - q^{mk}) below exponent rel.
+
+    By Euler's pentagonal number theorem the product is
+    sum_j (-1)^j q^{m j(3j-1)/2} over all integers j, so only the slots at
+    m times a generalised pentagonal number are nonzero.
+    """
     c = [0] * rel
     c[0] = 1
-    e = m
-    while e < rel:
-        # in-place multiply by (1 - q^e); descending keeps reads pristine
-        for i in range(rel - 1, e - 1, -1):
-            c[i] -= c[i - e]
-        e += m
+    j = 1
+    while m * j * (3 * j - 1) // 2 < rel:
+        sign = -1 if j % 2 else 1
+        for e in (m * j * (3 * j - 1) // 2, m * j * (3 * j + 1) // 2):
+            if e < rel:
+                c[e] = sign
+        j += 1
     return c
 
 
@@ -100,9 +106,10 @@ def eta_profile(e):
 def eta_expand(e, prec):
     """Expand an eta quotient to an exact QSeries below exponent prec.
 
-    Each scale's Euler product is accumulated factor by factor with early
-    truncation, raised to |r_m| by repeated squaring, and inverted once when
-    r_m is negative.  At or below the valuation the expansion is 0 + O(q^prec).
+    Each scale's Euler product is written down from the pentagonal number
+    theorem, raised to |r_m| by repeated squaring, and inverted once when
+    r_m is negative; all of it stays in integer arithmetic.  At or below the
+    valuation the expansion is 0 + O(q^prec).
     """
     v = Fraction(e.valuation)
     if v.denominator == 1:

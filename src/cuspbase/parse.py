@@ -52,6 +52,8 @@ class _Parser:
         if self.peek() == "/":
             self.pos += 1
             den = self._int()
+            if den == 0:
+                raise ExprSyntaxError("zero denominator", self.pos)
             return Fraction(num, den)
         return Fraction(num)
 
@@ -171,7 +173,10 @@ class _Parser:
                 raise ExprSyntaxError("duplicate eta scale", start)
             return Eta(tuple(pairs))
         if name in ("E4", "E6"):
-            return Eis(int(name[1]), self._int())
+            d = self._int()
+            if d < 1:
+                raise ExprSyntaxError("Eisenstein scale must be positive", self.pos)
+            return Eis(int(name[1]), d)
         if name == "Ew2":
             return W2(self._int())
         if name == "wpa":

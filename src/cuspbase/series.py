@@ -10,10 +10,17 @@ marks an exact polynomial, known to every order.
 Values are immutable; all operations return new series.  Coefficients are
 stored as plain ints when integral and ``fractions.Fraction`` otherwise, so
 integer-heavy convolutions stay in fast int arithmetic.
+
+A product is computed only below its frontier.  When both factors hold
+only ``int`` coefficients and the shorter known run has at least
+``_KRONECKER_MIN`` slots, it is one big-integer product by Kronecker
+substitution (D. Harvey, arXiv:0712.4046); any other product is a
+schoolbook convolution.  Both give the same coefficients.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import NotAUnit, OffGrid, PrecisionExceeded, ZeroWithinPrecision
@@ -39,6 +46,40 @@ def _to_index(e, grid):
 def _from_index(i, grid):
     f = Fraction(i, grid)
     return f.numerator if f.denominator == 1 else f
+
+
+# shorter run length from which an all-int product is a Kronecker product;
+# on the products the benchmark workloads make, the schoolbook loop is faster
+# below ~24 slots and the two break even at 24-31
+_KRONECKER_MIN = 32
+
+
+def _kronecker(a, b, length):
+    """First ``length`` coefficients of the product of two int runs.
+
+    Kronecker substitution: each run becomes one integer with a fixed-width
+    little-endian byte slot per coefficient (positive and negative parts
+    packed apart), one big-integer product does the convolution, and a bias
+    of half a slot per slot makes every product coefficient a nonnegative
+    slot value to read back.
+    """
+    # no product coefficient exceeds bound in size: a slot of w bytes holds
+    # it with the sign bit to spare
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    w = (bound.bit_length() + 8) // 8
+    zero = bytes(w)
+
+    def pack(run):
+        pos = b"".join(c.to_bytes(w, "little") if c > 0 else zero for c in run)
+        neg = b"".join((-c).to_bytes(w, "little") if c < 0 else zero for c in run)
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    half = 1 << (8 * w - 1)
+    bias = int.from_bytes(half.to_bytes(w, "little") * length, "little")
+    low = (pack(a) * pack(b) + bias) & ((1 << (8 * w * length)) - 1)
+    data = low.to_bytes(w * length, "little")
+    return [int.from_bytes(data[i:i + w], "little") - half
+            for i in range(0, w * length, w)]
 
 
 def _min_prec(p, q):
@@ -253,10 +294,13 @@ class QSeries:
             length = len(a.coeffs) + len(b.coeffs) - 1
         else:
             length = min(len(a.coeffs) + len(b.coeffs) - 1, prec - lead)
+        ac, bc = a.coeffs[:length], b.coeffs[:length]
+        if min(len(ac), len(bc)) >= _KRONECKER_MIN and all(
+                type(c) is int for c in ac) and all(type(c) is int for c in bc):
+            return QSeries(g, lead, _kronecker(ac, bc, length), prec)
         out = [0] * length
-        bc = b.coeffs
-        for i, ca in enumerate(a.coeffs):
-            if ca == 0 or i >= length:
+        for i, ca in enumerate(ac):
+            if ca == 0:
                 continue
             jmax = min(len(bc), length - i)
             for j in range(jmax):
@@ -285,7 +329,9 @@ class QSeries:
 
         The result satisfies self * invert(self) == 1 up to the precision
         frontier.  A finite frontier is required: pass ``prec`` when the
-        series is an exact polynomial.
+        series is an exact polynomial.  Coefficients come from the
+        recurrence b_n = -(1/a_0) sum_{k=1..n} a_k b_{n-k}; when the series
+        is integral with a_0 = +-1 every step stays in int arithmetic.
         """
         if not self.coeffs:
             raise NotAUnit("cannot invert a series that is zero within precision")
@@ -297,16 +343,12 @@ class QSeries:
         eff = _min_prec(self.prec, prec_idx)
         if eff is None:
             raise ValueError("invert needs a finite precision frontier")
-        a0 = self.coeffs[0]
-        inv0 = Fraction(1, 1) / a0
-        out = [inv0]
         a = self.coeffs
+        inv0 = _norm_coeff(Fraction(1, a[0]))
+        out = [inv0]
         for n in range(1, eff):
-            acc = 0
-            for k in range(1, min(n, len(a) - 1) + 1):
-                ck = a[k]
-                if ck != 0:
-                    acc += ck * out[n - k]
+            k = min(n, len(a) - 1)
+            acc = sum(map(operator.mul, a[1:k + 1], reversed(out[n - k:n])))
             out.append(-acc * inv0 if acc != 0 else 0)
         return QSeries(self.grid, 0, out, eff)
 

@@ -97,6 +97,31 @@ def test_prec_zero_is_a_usage_error(argv, capsys):
     assert "cuspbase: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr, caret", [
+    ("1/0", 3),
+    ("0/0*E4(1)", 3),
+    ("qser(0: 1,1/0)", 13),
+    ("E4(0)", 4),
+    ("E6(-2)", 5),
+])
+def test_bad_number_is_a_positioned_usage_error(expr, caret, capsys):
+    code, text = run_cli(["expand", "--expr", expr, "--prec", "3"])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err.splitlines()
+    assert err[:2] == [expr, " " * caret + "^"]
+    assert err[2].startswith("cuspbase: error:")
+    assert err[2].endswith(f"(at position {caret})")
+
+
+@pytest.mark.parametrize("expr", ["E4(1)+E6(1)", "eta(1:1)"])
+def test_weight_mismatch_is_a_usage_error(expr, capsys):
+    # the tree came from the command line, so a bad weight is the user's
+    code, text = run_cli(["expand", "--expr", expr, "--prec", "3"])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("cuspbase: error:") and "WeightMismatch" not in err
+
+
 def test_expand_eta():
     code, text = run_cli(["expand", "--eta", "4:8,2:-4", "--prec", "10"])
     assert code == 0

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import naive_convolve, series_coeffs
+from conftest import naive_convolve, naive_eta_product_part, series_coeffs
 from cuspbase.errors import (
     NotAUnit, OffGrid, PrecisionExceeded, ZeroWithinPrecision,
 )
-from cuspbase.eta import EtaQuotient, eta_expand
+from cuspbase.eta import EtaQuotient, _euler_factor_list, eta_expand
 from cuspbase.series import QSeries, first_mismatch
 
 
@@ -190,6 +190,76 @@ def test_invert_times_self_is_one(grid, unit, tail, prec, exact):
     f = QSeries(grid, 0, [unit] + tail, None if exact else prec * grid)
     inv = f.invert(prec) if exact else f.invert()
     assert inv * f == QSeries.one(prec)
+
+
+@st.composite
+def int_factors(draw):
+    """(grid, lead, run, prec) of an integer series as drawn: 1..200 slots,
+    dense or mostly zero, coefficients up to 4, 64 or 300 bits, a nonzero
+    first slot (an odd lead on the half grid, so no grid collapse), and a
+    frontier inside, just past or far past the run, or none at all."""
+    grid = draw(st.sampled_from([1, 2]))
+    lead = draw(st.integers(0, 3)) * grid + grid - 1
+    n = draw(st.integers(1, 200))
+    big = 2 ** draw(st.sampled_from([4, 64, 300]))
+    coeff = st.integers(-big, big)
+    if draw(st.booleans()):
+        run = draw(st.lists(coeff, min_size=n, max_size=n))
+    else:
+        run = [0] * n
+        for i, c in draw(st.dictionaries(st.integers(0, n - 1), coeff,
+                                         max_size=8)).items():
+            run[i] = c
+    run[0] = draw(coeff.filter(bool))
+    prec = draw(st.none() | st.integers(lead + 1, lead + n + 5))
+    return grid, lead, run, prec
+
+
+def _dense_on(grid, factor):
+    # the drawn series on a grid at least as fine: (lead, run, prec)
+    g, lead, run, prec = factor
+    step = grid // g
+    dense = [0] * (step * (len(run) - 1) + 1)
+    dense[::step] = run
+    return lead * step, dense, None if prec is None else prec * step
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(int_factors(), int_factors())
+def test_integer_product_matches_schoolbook(fa, fb):
+    # long factors take the Kronecker path, short ones the schoolbook loop:
+    # both must give the naive convolution's values, frontier and int type
+    a, b = (QSeries(*f) for f in (fa, fb))
+    g = max(fa[0], fb[0])
+    (la, ra, pa), (lb, rb, pb) = _dense_on(g, fa), _dense_on(g, fb)
+    fronts = [p + l for p, l in ((pa, lb), (pb, la)) if p is not None]
+    prec = min(fronts) if fronts else None
+    known_a = ra if pa is None else ra[:pa - la]
+    known_b = rb if pb is None else rb[:pb - lb]
+    upto = len(ra) + len(rb) - 1 if prec is None else prec - la - lb
+    product = a * b
+    assert product == QSeries(g, la + lb, naive_convolve(known_a, known_b, upto), prec)
+    assert all(type(c) is int for c in product.coeffs)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from([1, -1]),
+       st.lists(st.integers(-9, 9), min_size=64, max_size=300),
+       st.integers(64, 320))
+def test_integer_unit_inverse_stays_integral(unit, tail, prec):
+    f = QSeries(1, 0, [unit] + tail, prec)
+    inv = f.invert()
+    assert all(type(c) is int for c in inv.coeffs)
+    assert f * inv == QSeries.one(prec)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_euler_factor_list_matches_naive_product(m):
+    # a truncation of the naive product is its own prefix, so one oracle at
+    # 800 serves every rel <= 800
+    oracle = naive_eta_product_part(((m, 1),), 800)
+    for rel in range(1, 801):
+        assert _euler_factor_list(m, rel) == oracle[:rel]
 
 
 def test_precision_propagation():
