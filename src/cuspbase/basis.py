@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .catalog import MEMO, evaluate, get_catalog
 from .dimensions import (
@@ -35,7 +35,7 @@ from .errors import (
     RankDeficient, RankExcess, UnsupportedLevel,
 )
 from .expr import Gen
-from .series import QSeries, _from_index, _min_prec
+from .series import QSeries, _from_index, _min_prec, _ratio
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def echelonize(forms, expected_dim, prec=None, *, level, weight, space="full"):
     Dependent rows are dropped; RankDeficient / RankExcess report a span of
     the wrong size.  The elimination is fraction-free: every row is a
     primitive integer vector over the grid slots below the common frontier,
-    and each row is divided by its pivot entry only once, at the end.
+    and at the end each row becomes a series over its pivot entry.
     """
     common = None
     for f in forms:
@@ -108,13 +108,8 @@ def echelonize(forms, expected_dim, prec=None, *, level, weight, space="full"):
             if vals[p - lead]:
                 lead, vals = _primitive(_combine(vals, holder, p - lead), lead)
         ordered[i] = (lead, vals)
-    elements = []
-    for lead, vals in ordered:
-        piv = vals[0]
-        if piv != 1:
-            vals = [x // piv if x % piv == 0 else Fraction(x, piv) for x in vals]
-        elements.append(QSeries(grid, lead, vals, size))
-    return EchelonBasis(level, weight, space, tuple(elements), common)
+    elements = tuple(QSeries(grid, lead, vals, size, vals[0]) for lead, vals in ordered)
+    return EchelonBasis(level, weight, space, elements, common)
 
 
 # -- integer rows ----------------------------------------------------------------
@@ -127,20 +122,17 @@ def _slots(forms, frontier):
 
 
 def _int_row(f, grid, size):
-    """f on the first ``size`` slots of the 1/grid grid with denominators
-    cleared: (dense integer list, d) where the list holds d times each
+    """f's numerators on the first ``size`` slots of the 1/grid grid and its
+    denominator: (dense integer list, d) where the list holds d times each
     coefficient."""
     step = grid // f.grid
     if size % step:
         raise OffGrid(f"frontier index {size} is not on the 1/{f.grid} grid")
-    kept = f.coeffs[:max(size // step - f.lead, 0)]
-    den = lcm(*(c.denominator for c in kept if type(c) is not int))
-    if den != 1:
-        kept = [(c * den).numerator for c in kept]
+    kept = f.nums[:max(size // step - f.lead, 0)]
     row = [0] * size
     start = f.lead * step
     row[start:start + len(kept) * step:step] = kept
-    return row, den
+    return row, f.den
 
 
 def _primitive(vals, lead=0):
@@ -307,7 +299,7 @@ def verify_membership(f, basis):
         if c == 0:
             coords.append(0)
             continue
-        coords.append(c // den if c % den == 0 else Fraction(c, den))
+        coords.append(_ratio(c, den))
         row, el_den = _int_row(el, grid, size)
         # residual/den - (c/den) * row/el_den, over the denominator den*el_den/g
         g = gcd(c, el_den)
@@ -329,17 +321,18 @@ class DecompositionReport:
     piece_dims: tuple           # (base dim, then one entry per ladder step)
     total: int
     expected: int
-    basis_matches: object       # True/False when materialized, else None
+    basis_matches: bool
 
 
-def structure_decompose(N, k, materialize=True):
+def structure_decompose(N, k):
     """Split S_{2k} into delta-power pieces and check the dimension count.
 
     Writes k = q*(rho/2) + r with 2 <= r <= rho/2 + 1.  The pieces are the
     base space S_{2r} lifted by delta^q together with, for each step n < q,
     the first nu elements of the cusp basis at half-weight k - n*rho/2
-    lifted by delta^n.  Piece dimensions must add up to dim S_{2k}; when
-    materialized, the union must echelonize to the canonical cusp basis.
+    lifted by delta^n.  Piece dimensions must add up to dim S_{2k}, and
+    ``basis_matches`` says whether the union echelonizes to the canonical
+    cusp basis.
     """
     if N not in DELTA_DATA:
         raise UnsupportedLevel(f"no structuring form catalogued for level {N}")
@@ -358,23 +351,21 @@ def structure_decompose(N, k, materialize=True):
             f"decomposition of S_{2 * k}(Gamma0({N})) counts {total}, "
             f"dimension formula says {expected}"
         )
-    matches = None
-    if materialize:
-        target = default_prec(N, 2 * k)
-        delta = evaluate(get_catalog(N).delta, target)
-        rows = []
-        for n in range(q):
-            low = s_basis(N, k - n * half, max(target - n * nu,
-                                               default_prec(N, 2 * (k - n * half))))
-            rows.extend((delta ** n) * e for e in low.elements[:nu])
-        base = s_basis(N, r, max(target - q * nu, default_prec(N, 2 * r)))
-        rows.extend((delta ** q) * e for e in base.elements)
-        rebuilt = echelonize(rows, expected, target, level=N, weight=2 * k,
-                             space="cusp")
-        canonical = s_basis(N, k, target)
-        common = _min_prec(rebuilt.prec, canonical.prec)
-        matches = all(
-            a.truncate(common) == b.truncate(common)
-            for a, b in zip(rebuilt.elements, canonical.elements)
-        )
+    target = default_prec(N, 2 * k)
+    delta = evaluate(get_catalog(N).delta, target)
+    rows = []
+    for n in range(q):
+        low = s_basis(N, k - n * half, max(target - n * nu,
+                                           default_prec(N, 2 * (k - n * half))))
+        rows.extend((delta ** n) * e for e in low.elements[:nu])
+    base = s_basis(N, r, max(target - q * nu, default_prec(N, 2 * r)))
+    rows.extend((delta ** q) * e for e in base.elements)
+    rebuilt = echelonize(rows, expected, target, level=N, weight=2 * k,
+                         space="cusp")
+    canonical = s_basis(N, k, target)
+    common = _min_prec(rebuilt.prec, canonical.prec)
+    matches = all(
+        a.truncate(common) == b.truncate(common)
+        for a, b in zip(rebuilt.elements, canonical.elements)
+    )
     return DecompositionReport(N, k, q, r, piece_dims, total, expected, matches)

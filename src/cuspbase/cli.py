@@ -84,12 +84,12 @@ def cmd_dims(args, out):
     levels = _parse_levels(args.level)
     lo, hi = _parse_weights(args.weights)
     weights = range(lo, hi + 1, 2)
+    # every row first, so a bad level prints nothing
+    rows = [f"level {N} dim_{name}: " + " ".join(str(dim(N, w)) for w in weights)
+            for N in levels for name, dim in (("S", dim_cusp), ("M", dim_modular))]
     print(f"# {FORMAT_VERSION} dims weights={lo}..{hi}", file=out)
-    for N in levels:
-        row_s = " ".join(str(dim_cusp(N, w)) for w in weights)
-        row_m = " ".join(str(dim_modular(N, w)) for w in weights)
-        print(f"level {N} dim_S: {row_s}", file=out)
-        print(f"level {N} dim_M: {row_m}", file=out)
+    for row in rows:
+        print(row, file=out)
     return 0
 
 

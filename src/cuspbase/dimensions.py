@@ -52,6 +52,8 @@ def euler_phi(n):
 
 def group_index(N):
     """Index of Gamma0(N) in the full modular group: N prod_{p|N} (1 + 1/p)."""
+    if not isinstance(N, int) or N < 1:
+        raise UnsupportedLevel(f"level must be a positive integer, got {N}")
     num, den = N, 1
     for p in _prime_factors(N):
         num *= p + 1
@@ -121,8 +123,7 @@ class LevelProfile:
 
 
 def level_profile(N):
-    if not isinstance(N, int) or N < 1:
-        raise UnsupportedLevel(f"level must be a positive integer, got {N}")
+    index = group_index(N)
     delta = DELTA_DATA.get(N)
     if delta is None:
         rho = nu = k0 = None
@@ -135,7 +136,7 @@ def level_profile(N):
             seeds = (f"F{2 * k0}_{N}_1",)
     return LevelProfile(
         level=N,
-        index=group_index(N),
+        index=index,
         elliptic2=count_elliptic2(N),
         elliptic3=count_elliptic3(N),
         cusps=count_cusps(N),

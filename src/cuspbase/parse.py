@@ -47,14 +47,20 @@ class _Parser:
             raise ExprSyntaxError("expected an integer", start)
         return int(self.text[start:self.pos])
 
+    def _checked_int(self, ok, message):
+        """An integer that passes ``ok``; else an error at its first character."""
+        self._skip_ws()
+        start = self.pos
+        n = self._int()
+        if not ok(n):
+            raise ExprSyntaxError(message, start)
+        return n
+
     def _rational(self):
         num = self._int()
         if self.peek() == "/":
             self.pos += 1
-            den = self._int()
-            if den == 0:
-                raise ExprSyntaxError("zero denominator", self.pos)
-            return Fraction(num, den)
+            return Fraction(num, self._checked_int(bool, "zero denominator"))
         return Fraction(num)
 
     def _name(self):
@@ -115,15 +121,12 @@ class _Parser:
             ch = self.peek()
             if ch == "^":
                 self.pos += 1
-                n = self._int()
-                if n < 0:
-                    raise ExprSyntaxError("powers must be nonnegative", self.pos)
+                n = self._checked_int(lambda x: x >= 0, "powers must be nonnegative")
                 node = Pow(node, n)
             elif ch == "@":
                 self.pos += 1
-                d = self._int()
-                if d < 1:
-                    raise ExprSyntaxError("scaling factor must be positive", self.pos)
+                d = self._checked_int(lambda x: x > 0,
+                                      "scaling factor must be positive")
                 node = Subst(node, d)
             else:
                 return node
@@ -173,9 +176,7 @@ class _Parser:
                 raise ExprSyntaxError("duplicate eta scale", start)
             return Eta(tuple(pairs))
         if name in ("E4", "E6"):
-            d = self._int()
-            if d < 1:
-                raise ExprSyntaxError("Eisenstein scale must be positive", self.pos)
+            d = self._checked_int(lambda x: x > 0, "Eisenstein scale must be positive")
             return Eis(int(name[1]), d)
         if name == "Ew2":
             return W2(self._int())

@@ -8,32 +8,23 @@ exponents >= prec/g are unknown, everything below is exact.  ``prec=None``
 marks an exact polynomial, known to every order.
 
 Values are immutable; all operations return new series.  Coefficients are
-stored as plain ints when integral and ``fractions.Fraction`` otherwise, so
-integer-heavy convolutions stay in fast int arithmetic.
+int numerators ``nums`` over one denominator ``den`` > 0, gcd(den, *nums) ==
+1, so each value has one form and arithmetic is int work on ``nums``; read
+out, a coefficient is an int when integral, else a ``fractions.Fraction``.
 
-A product is computed only below its frontier.  When both factors hold
-only ``int`` coefficients and the shorter known run has at least
-``_KRONECKER_MIN`` slots, it is one big-integer product by Kronecker
-substitution (D. Harvey, arXiv:0712.4046); any other product is a
-schoolbook convolution.  Both give the same coefficients.
+A product is computed only below its frontier.  When the shorter known run
+has at least ``_KRONECKER_MIN`` slots, it is one big-integer product by
+Kronecker substitution (D. Harvey, arXiv:0712.4046); any other product is a
+schoolbook convolution.  Both give the same numerators.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import NotAUnit, OffGrid, PrecisionExceeded, ZeroWithinPrecision
-
-
-def _norm_coeff(c):
-    if type(c) is int:
-        return c
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
-        return c
-    return _norm_coeff(Fraction(c))
 
 
 def _to_index(e, grid):
@@ -48,9 +39,16 @@ def _from_index(i, grid):
     return f.numerator if f.denominator == 1 else f
 
 
-# shorter run length from which an all-int product is a Kronecker product;
-# on the products the benchmark workloads make, the schoolbook loop is faster
-# below ~24 slots and the two break even at 24-31
+def _ratio(n, d):
+    # the value n/d as an int when integral
+    if d == 1:
+        return n
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
+# shorter run length from which a product is a Kronecker product; on the
+# products the benchmark workloads make, the schoolbook loop is faster below
+# ~24 slots and the two break even at 24-31
 _KRONECKER_MIN = 32
 
 
@@ -94,46 +92,59 @@ class QSeries:
     """Immutable truncated q-series with exact rational coefficients.
 
     The raw constructor takes *scaled* indices (``lead`` and ``prec`` in
-    units of 1/grid).  Use :meth:`make`, :meth:`one`, :meth:`zero` or
-    :meth:`monomial` to build series from plain exponents.
+    units of 1/grid) and a run of rationals over an int ``den``.  Use
+    :meth:`make`, :meth:`one`, :meth:`zero` or :meth:`monomial` to build
+    series from plain exponents.
     """
 
-    __slots__ = ("grid", "lead", "coeffs", "prec")
+    __slots__ = ("grid", "lead", "nums", "den", "prec")
 
-    def __init__(self, grid, lead, coeffs, prec):
+    def __init__(self, grid, lead, coeffs, prec, den=1):
         if grid not in (1, 2):
             raise ValueError(f"grid must be 1 or 2, got {grid}")
-        coeffs = [c if type(c) is int else _norm_coeff(c) for c in coeffs]
         if prec is not None:
             if int(prec) != prec:
                 raise OffGrid(f"precision index {prec} is not integral")
             prec = int(prec)
-            if len(coeffs) > prec - lead:
-                coeffs = coeffs[: max(prec - lead, 0)]
+        if not all(type(c) is int for c in coeffs):
+            coeffs = [Fraction(c) for c in coeffs]
+            d = lcm(*(c.denominator for c in coeffs))
+            coeffs = [c.numerator * (d // c.denominator) for c in coeffs]
+            den *= d
+        self._settle(grid, lead, coeffs, prec, den)
+
+    def _settle(self, grid, lead, nums, prec, den):
+        """Store the int run ``nums`` over ``den`` in canonical form."""
+        if prec is not None and len(nums) > prec - lead:
+            nums = nums[:max(prec - lead, 0)]
         # strip leading zeros (advance the lead), then trailing zeros
-        i = 0
-        while i < len(coeffs) and coeffs[i] == 0:
+        i, j = 0, len(nums)
+        while i < j and not nums[i]:
             i += 1
+        while j > i and not nums[j - 1]:
+            j -= 1
+        nums = nums[i:j]
         lead += i
-        coeffs = coeffs[i:]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            lead = prec if prec is not None else 0
         # collapse the half grid when no odd-index coefficient is known nonzero
-        if grid == 2:
-            if all((lead + j) % 2 == 0 for j, c in enumerate(coeffs) if c != 0):
-                if coeffs:
-                    coeffs = coeffs[::2] if lead % 2 == 0 else coeffs[1::2]
-                    lead = (lead + 1) // 2
-                grid = 1
-                if prec is not None:
-                    prec = (prec + 1) // 2
-                if not coeffs:
-                    lead = prec if prec is not None else 0
+        # and the frontier is a whole exponent, so no unknown becomes a zero
+        if grid == 2 and not (prec or 0) % 2 and not any(nums[(lead + 1) % 2::2]):
+            nums = nums[lead % 2::2]
+            lead = (lead + 1) // 2
+            grid = 1
+            if prec is not None:
+                prec //= 2
+        if not nums:
+            lead = prec if prec is not None else 0
+            den = 1
+        elif den != 1:
+            g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = [c // g for c in nums]
         self.grid = grid
         self.lead = lead
-        self.coeffs = tuple(coeffs)
+        self.nums = tuple(nums)
+        self.den = den
         self.prec = prec
 
     # -- constructors --------------------------------------------------
@@ -169,7 +180,7 @@ class QSeries:
     @property
     def is_zero(self):
         """True when no nonzero coefficient is known (zero within precision)."""
-        return not self.coeffs
+        return not self.nums
 
     @property
     def prec_exponent(self):
@@ -182,45 +193,43 @@ class QSeries:
             raise PrecisionExceeded(
                 f"coefficient of q^{e} is beyond the frontier q^{self.prec_exponent}"
             )
-        if idx < self.lead or idx >= self.lead + len(self.coeffs):
+        if idx < self.lead or idx >= self.lead + len(self.nums):
             return 0
-        return self.coeffs[idx - self.lead]
+        return _ratio(self.nums[idx - self.lead], self.den)
 
     def valuation(self):
         """Exponent of the first nonzero coefficient."""
-        if not self.coeffs:
+        if not self.nums:
             raise ZeroWithinPrecision("series is zero within its precision")
         return _from_index(self.lead, self.grid)
 
     def leading_coefficient(self):
-        if not self.coeffs:
+        if not self.nums:
             raise ZeroWithinPrecision("series is zero within its precision")
-        return self.coeffs[0]
+        return _ratio(self.nums[0], self.den)
 
     def items(self):
         """Known nonzero (exponent, coefficient) pairs, ascending."""
         return [
-            (_from_index(self.lead + j, self.grid), c)
-            for j, c in enumerate(self.coeffs)
-            if c != 0
+            (_from_index(self.lead + j, self.grid), _ratio(c, self.den))
+            for j, c in enumerate(self.nums)
+            if c
         ]
 
     # -- grid handling ---------------------------------------------------
 
     def _upcast(self, grid):
+        # not canonical: only for use inside one operation
         if grid == self.grid:
             return self
         assert grid == 2 and self.grid == 1
-        coeffs = []
-        for c in self.coeffs:
-            coeffs.append(c)
-            coeffs.append(0)
-        if coeffs:
-            coeffs.pop()
+        nums = [0] * max(2 * len(self.nums) - 1, 0)
+        nums[::2] = self.nums
         out = QSeries.__new__(QSeries)
         out.grid = 2
         out.lead = self.lead * 2
-        out.coeffs = tuple(coeffs)
+        out.nums = nums
+        out.den = self.den
         out.prec = None if self.prec is None else self.prec * 2
         return out
 
@@ -235,35 +244,27 @@ class QSeries:
         a, b = self._upcast(g), other._upcast(g)
         prec = _min_prec(a.prec, b.prec)
         lo = min(a.lead, b.lead)
-        hi = max(a.lead + len(a.coeffs), b.lead + len(b.coeffs))
+        hi = max(a.lead + len(a.nums), b.lead + len(b.nums))
         if prec is not None:
             hi = min(hi, prec)
-        out = [0] * max(hi - lo, 0)
-        for j, c in enumerate(a.coeffs):
-            i = a.lead + j - lo
-            if 0 <= i < len(out):
-                out[i] = c
-        for j, c in enumerate(b.coeffs):
-            i = b.lead + j - lo
-            if 0 <= i < len(out):
-                out[i] += c
-        return QSeries(g, lo, out, prec)
+        n = max(hi - lo, 0)
+        den = a.den if a.den == b.den else lcm(a.den, b.den)
+        out = [0] * n
+        for s in (a, b):
+            i = s.lead - lo
+            run = s.nums[:max(n - i, 0)]
+            if s.den != den:
+                m = den // s.den
+                run = [m * c for c in run]
+            out[i:i + len(run)] = map(operator.add, out[i:i + len(run)], run)
+        return _series(g, lo, out, prec, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = QSeries.__new__(QSeries)
-        out.grid = self.grid
-        out.lead = self.lead
-        out.coeffs = tuple(-c for c in self.coeffs)
-        out.prec = self.prec
-        return out
+        return self.scale(-1)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QSeries(1, 0, [other], None)
-        if not isinstance(other, QSeries):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -271,10 +272,9 @@ class QSeries:
 
     def scale(self, r):
         """Multiply every coefficient by the exact scalar r."""
-        r = _norm_coeff(r)
-        if r == 0:
-            return QSeries(self.grid, 0, [], self.prec)
-        return QSeries(self.grid, self.lead, [r * c for c in self.coeffs], self.prec)
+        p, q = (r, 1) if type(r) is int else Fraction(r).as_integer_ratio()
+        return _series(self.grid, self.lead, [p * c for c in self.nums], self.prec,
+                       self.den * q)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -287,17 +287,17 @@ class QSeries:
         pa = None if a.prec is None else a.prec + b.lead
         pb = None if b.prec is None else b.prec + a.lead
         prec = _min_prec(pa, pb)
-        if not a.coeffs or not b.coeffs:
-            return QSeries(g, 0, [], prec)
+        if not a.nums or not b.nums:
+            return _series(g, 0, [], prec)
         lead = a.lead + b.lead
+        den = a.den * b.den
         if prec is None:
-            length = len(a.coeffs) + len(b.coeffs) - 1
+            length = len(a.nums) + len(b.nums) - 1
         else:
-            length = min(len(a.coeffs) + len(b.coeffs) - 1, prec - lead)
-        ac, bc = a.coeffs[:length], b.coeffs[:length]
-        if min(len(ac), len(bc)) >= _KRONECKER_MIN and all(
-                type(c) is int for c in ac) and all(type(c) is int for c in bc):
-            return QSeries(g, lead, _kronecker(ac, bc, length), prec)
+            length = min(len(a.nums) + len(b.nums) - 1, prec - lead)
+        ac, bc = a.nums[:length], b.nums[:length]
+        if min(len(ac), len(bc)) >= _KRONECKER_MIN:
+            return _series(g, lead, _kronecker(ac, bc, length), prec, den)
         out = [0] * length
         for i, ca in enumerate(ac):
             if ca == 0:
@@ -307,7 +307,7 @@ class QSeries:
                 cb = bc[j]
                 if cb != 0:
                     out[i + j] += ca * cb
-        return QSeries(g, lead, out, prec)
+        return _series(g, lead, out, prec, den)
 
     __rmul__ = __mul__
 
@@ -329,11 +329,12 @@ class QSeries:
 
         The result satisfies self * invert(self) == 1 up to the precision
         frontier.  A finite frontier is required: pass ``prec`` when the
-        series is an exact polynomial.  Coefficients come from the
-        recurrence b_n = -(1/a_0) sum_{k=1..n} a_k b_{n-k}; when the series
-        is integral with a_0 = +-1 every step stays in int arithmetic.
+        series is an exact polynomial.  For self = sum a_k q^k / den this is
+        den * sum_n c_n q^n / a_0^(n+1), where c_0 = 1 and the ints c_n =
+        -sum_{k=1..n} a_k a_0^(k-1) c_{n-k}: one int recurrence over the
+        denominator a_0^prec.
         """
-        if not self.coeffs:
+        if not self.nums:
             raise NotAUnit("cannot invert a series that is zero within precision")
         if self.lead != 0:
             raise NotAUnit(
@@ -343,14 +344,15 @@ class QSeries:
         eff = _min_prec(self.prec, prec_idx)
         if eff is None:
             raise ValueError("invert needs a finite precision frontier")
-        a = self.coeffs
-        inv0 = _norm_coeff(Fraction(1, a[0]))
-        out = [inv0]
+        a0 = self.nums[0]
+        powers = [a0 ** i for i in range(eff + 1)]
+        a = [c * p for c, p in zip(self.nums[1:eff], powers)]
+        out = [1]
         for n in range(1, eff):
-            k = min(n, len(a) - 1)
-            acc = sum(map(operator.mul, a[1:k + 1], reversed(out[n - k:n])))
-            out.append(-acc * inv0 if acc != 0 else 0)
-        return QSeries(self.grid, 0, out, eff)
+            k = min(n, len(a))
+            out.append(-sum(map(operator.mul, a[:k], reversed(out[n - k:n]))))
+        nums = [c * p * self.den for c, p in zip(out, reversed(powers[:eff]))]
+        return _series(self.grid, 0, nums, eff, powers[eff])
 
     def substitute_q_power(self, d):
         """The map f(tau) -> f(d*tau): every exponent is multiplied by d."""
@@ -358,20 +360,16 @@ class QSeries:
             raise ValueError("substitution power must be a positive integer")
         if d == 1:
             return self
-        coeffs = []
-        for c in self.coeffs:
-            coeffs.append(c)
-            coeffs.extend([0] * (d - 1))
-        if coeffs:
-            del coeffs[len(coeffs) - (d - 1):]
+        nums = [0] * max(d * (len(self.nums) - 1) + 1, 0)
+        nums[::d] = self.nums
         prec = None if self.prec is None else self.prec * d
-        return QSeries(self.grid, self.lead * d, coeffs, prec)
+        return _series(self.grid, self.lead * d, nums, prec, self.den)
 
     def truncate(self, prec):
         """Lower the precision frontier to the given exponent."""
         prec_idx = _to_index(prec, self.grid)
         new = _min_prec(self.prec, prec_idx)
-        return QSeries(self.grid, self.lead, list(self.coeffs), new)
+        return _series(self.grid, self.lead, self.nums, new, self.den)
 
     # -- comparison / display ---------------------------------------------
 
@@ -381,12 +379,13 @@ class QSeries:
         return (
             self.grid == other.grid
             and self.lead == other.lead
-            and self.coeffs == other.coeffs
+            and self.nums == other.nums
+            and self.den == other.den
             and self.prec == other.prec
         )
 
     def __hash__(self):
-        return hash((self.grid, self.lead, self.coeffs, self.prec))
+        return hash((self.grid, self.lead, self.nums, self.den, self.prec))
 
     def __repr__(self):
         return f"QSeries({self.to_str(max_terms=6)})"
@@ -418,6 +417,13 @@ class QSeries:
         return s
 
 
+def _series(grid, lead, nums, prec, den=1):
+    # a series from an int run: no clearing pass, straight to canonical form
+    out = QSeries.__new__(QSeries)
+    out._settle(grid, lead, nums, prec, den)
+    return out
+
+
 def first_mismatch(a, b):
     """First exponent below the common frontier where two series differ.
 
@@ -427,11 +433,11 @@ def first_mismatch(a, b):
     ax, bx = a._upcast(g), b._upcast(g)
     hi = _min_prec(ax.prec, bx.prec)
     if hi is None:
-        hi = max(ax.lead + len(ax.coeffs), bx.lead + len(bx.coeffs))
+        hi = max(ax.lead + len(ax.nums), bx.lead + len(bx.nums))
     lo = min(ax.lead, bx.lead)
     for i in range(lo, hi):
-        ca = ax.coeffs[i - ax.lead] if ax.lead <= i < ax.lead + len(ax.coeffs) else 0
-        cb = bx.coeffs[i - bx.lead] if bx.lead <= i < bx.lead + len(bx.coeffs) else 0
-        if ca != cb:
+        ca = ax.nums[i - ax.lead] if ax.lead <= i < ax.lead + len(ax.nums) else 0
+        cb = bx.nums[i - bx.lead] if bx.lead <= i < bx.lead + len(bx.nums) else 0
+        if ca * bx.den != cb * ax.den:
             return _from_index(i, g)
     return None

@@ -240,7 +240,7 @@ def check_decompositions(N, k_max=12):
     bad = []
     for k in range(2, k_max + 1):
         report = structure_decompose(N, k)
-        if report.total != report.expected or report.basis_matches is False:
+        if report.total != report.expected or not report.basis_matches:
             bad.append((k, report.total, report.expected, report.basis_matches))
     if bad:
         return CheckResult(f"structure:decompose:N={N}", False, f"failures: {bad}")

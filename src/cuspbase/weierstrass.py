@@ -41,12 +41,12 @@ class TorsionPoint:
             raise ValueError("(a, b) = (0, 0) is the lattice origin")
 
 
-def _add_lambert(acc, sign, e, scale=1):
+def _add_lambert(acc, sign, e, scale):
     # accumulate scale * sum_{m>=1} m (sign q^{e/g})^m onto acc (scaled slots)
     if e == 0:
         if sign == 1:
             raise LatticePoint("expansion degenerates at u = 1")
-        acc[0] += scale * Fraction(-1, 4)
+        acc[0] -= scale // 4
         return
     limit = len(acc)
     m = 1
@@ -70,14 +70,15 @@ def wpa_expand(point, prec):
         raise ValueError("precision must be positive")
     sign = -1 if b else 1
     e_u = a * grid // 2
+    # acc holds 12 times the bracket, so wp = -4 * acc / 12 = -acc / 3
     acc = [0] * idx
-    acc[0] = Fraction(1, 12)
-    _add_lambert(acc, sign, e_u)
+    acc[0] = 1
+    _add_lambert(acc, sign, e_u, 12)
     step = N * grid
     n = 1
     while n * step - e_u < idx:
-        _add_lambert(acc, sign, n * step + e_u)
-        _add_lambert(acc, sign, n * step - e_u)
-        _add_lambert(acc, 1, n * step, scale=-2)
+        _add_lambert(acc, sign, n * step + e_u, 12)
+        _add_lambert(acc, sign, n * step - e_u, 12)
+        _add_lambert(acc, 1, n * step, -24)
         n += 1
-    return QSeries(grid, 0, [-4 * c for c in acc], idx)
+    return QSeries(grid, 0, [-c for c in acc], idx, 3)

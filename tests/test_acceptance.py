@@ -99,7 +99,7 @@ def test_criterion_4_structure_suite():
                 assert vals[s - 1] == s, (n, k, s)
     for n in range(1, 11):
         for k in range(2, 13):
-            report = structure_decompose(n, k, materialize=True)
+            report = structure_decompose(n, k)
             assert report.total == report.expected, (n, k)
             assert report.basis_matches, (n, k)
     print("PASS criterion 4: shift identities (k <= 50), ladder constancy, "

@@ -336,13 +336,6 @@ def test_structure_decompose_examples():
     assert r.basis_matches
 
 
-def test_structure_decompose_all_levels():
-    for n in range(1, 11):
-        for k in range(2, 13):
-            r = structure_decompose(n, k, materialize=False)
-            assert r.total == r.expected, (n, k)
-
-
 def test_delta_multiplication_lands_above_valuation():
     # multiplying the cusp basis by the structuring form lands in the next
     # ladder space, above its valuation

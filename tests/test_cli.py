@@ -37,6 +37,13 @@ def test_dims_trivial():
     assert "level 1 dim_S: 0" in text
 
 
+@pytest.mark.parametrize("level", ["0", "-4"])
+def test_dims_level_below_one_is_a_usage_error(level, capsys):
+    code, text = run_cli(["dims", "--level", level])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err.startswith("cuspbase: error:")
+
+
 def test_basis_level2_weight8():
     code, text = run_cli(["basis", "--level", "2", "--weight", "8",
                           "--space", "cusp"])
@@ -98,11 +105,13 @@ def test_prec_zero_is_a_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize("expr, caret", [
-    ("1/0", 3),
-    ("0/0*E4(1)", 3),
-    ("qser(0: 1,1/0)", 13),
-    ("E4(0)", 4),
-    ("E6(-2)", 5),
+    ("1/0", 2),
+    ("0/0*E4(1)", 2),
+    ("qser(0: 1,1/0)", 12),
+    ("E4(0)", 3),
+    ("E6(-2)", 3),
+    ("2^-1", 2),
+    ("E4(1)@0", 6),
 ])
 def test_bad_number_is_a_positioned_usage_error(expr, caret, capsys):
     code, text = run_cli(["expand", "--expr", expr, "--prec", "3"])
@@ -197,6 +206,26 @@ def test_env_precision_override(monkeypatch):
     monkeypatch.setenv("CUSPBASE_PREC", "zero")
     code, _ = run_cli(["expand", "--eta", "2:16,1:-8"])
     assert code == 2
+
+
+# the command-line examples of the README, in order
+README_EXAMPLES = [
+    ["dims", "--level", "all", "--weights", "2..16"],
+    ["basis", "--level", "7", "--weight", "6", "--space", "cusp"],
+    ["basis", "--level", "10", "--weight", "8", "--format", "jsonl"],
+    ["expand", "--eta", "2:16,1:-8", "--prec", "12"],
+    ["expand", "--expr", "E[2,4,0]*E[2,4,1]*(E[2,4,0]+16*E[2,4,1])", "--prec", "11"],
+    ["expand", "--wpa", "2,0,5", "--prec", "8"],
+]
+
+
+def test_readme_examples_print_the_recorded_bytes():
+    # tests/data/readme_examples.out is their stdout, also diffed in CI
+    out = io.StringIO()
+    for argv in README_EXAMPLES:
+        assert main(argv, out=out) == 0
+    recorded = Path(__file__).parent / "data" / "readme_examples.out"
+    assert out.getvalue() == recorded.read_text()
 
 
 def test_module_invocation():

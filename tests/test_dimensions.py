@@ -62,6 +62,13 @@ def test_dim_examples():
         dim_cusp(5, -2)
 
 
+def test_levels_below_one_are_unsupported():
+    for N in (0, -4):
+        for formula in (dim_cusp, dim_modular, sturm_bound):
+            with pytest.raises(UnsupportedLevel):
+                formula(N, 2)
+
+
 def test_codimension_is_cusp_count():
     for n in range(1, 11):
         for w in range(4, 41, 2):

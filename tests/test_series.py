@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,8 +71,10 @@ def test_mul_identity_and_half_grid():
     assert s * QSeries.one() == s
     half = QSeries.make(Fraction(1, 2), [1], prec=4, grid=2)
     sq = half * half
-    assert sq.grid == 1
+    # q + O(q^(9/2)): the unknown q^(9/2) coefficient keeps the half grid
+    assert sq.grid == 2 and sq.prec_exponent == Fraction(9, 2)
     assert sq.valuation() == 1
+    assert sq.truncate(4).grid == 1
 
 
 def test_pow():
@@ -162,6 +165,51 @@ def test_ring_axioms_random():
         assert first_mismatch(a * (b + c), a * b + a * c) is None
 
 
+@st.composite
+def rational_series(draw):
+    """A series on either grid, exact or with a frontier (which may sit at or
+    below the lead), from a run of small ints and fractions with zeros, so
+    that sums cancel, grids collapse and long factors take the Kronecker
+    path."""
+    grid = draw(st.sampled_from([1, 2]))
+    lead = draw(st.integers(0, 4))
+    coeff = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=12)
+    run = draw(st.lists(coeff, max_size=draw(st.sampled_from([8, 48]))))
+    prec = draw(st.none() | st.integers(0, 60))
+    return QSeries(grid, lead, run, prec)
+
+
+def assert_canonical(s):
+    assert s.den > 0 and gcd(s.den, *s.nums) == 1
+    assert all(type(c) is int for c in s.nums)
+    assert not s.nums or (s.nums[0] and s.nums[-1])
+    # the half grid only for a known nonzero half exponent or a half frontier
+    assert s.grid == 1 or (s.prec or 0) % 2 or any(s.nums[(s.lead + 1) % 2::2])
+    for j, n in enumerate(s.nums):
+        c = s.coeff(Fraction(s.lead + j, s.grid))
+        assert c == Fraction(n, s.den)
+        assert type(c) is (int if n % s.den == 0 else Fraction)
+    assert [c for _, c in s.items()] == [s.coeff(e) for e, _ in s.items()]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rational_series(), rational_series(), rational_series(),
+       st.fractions(-20, 20, max_denominator=12))
+def test_ring_axioms_and_canonical_form(a, b, c, r):
+    for s in (a, b, a + b, a - b, a * b, a.scale(r), -a, a + r, r - a):
+        assert_canonical(s)
+    # frontiers may differ between the sides; known coefficients agree
+    assert first_mismatch(a * (b + c), a * b + a * c) is None
+    assert first_mismatch((a * b) * c, a * (b * c)) is None
+    assert (a - a).is_zero and a - a == a.scale(0)
+    assert a.scale(r) == a * QSeries.make(0, [r])
+    # one value, one form: equal values built by different routes
+    cleared = QSeries(a.grid, a.lead, [Fraction(n, a.den) for n in a.nums],
+                      a.prec)
+    for same in (a.scale(Fraction(1, 3)).scale(3), cleared, a * QSeries.one()):
+        assert same == a and hash(same) == hash(a)
+
+
 def test_valuation_additivity_random():
     rng = random.Random(42)
     for _ in range(60):
@@ -239,7 +287,7 @@ def test_integer_product_matches_schoolbook(fa, fb):
     upto = len(ra) + len(rb) - 1 if prec is None else prec - la - lb
     product = a * b
     assert product == QSeries(g, la + lb, naive_convolve(known_a, known_b, upto), prec)
-    assert all(type(c) is int for c in product.coeffs)
+    assert product.den == 1
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -249,7 +297,7 @@ def test_integer_product_matches_schoolbook(fa, fb):
 def test_integer_unit_inverse_stays_integral(unit, tail, prec):
     f = QSeries(1, 0, [unit] + tail, prec)
     inv = f.invert()
-    assert all(type(c) is int for c in inv.coeffs)
+    assert inv.den == 1
     assert f * inv == QSeries.one(prec)
 
 
@@ -281,10 +329,16 @@ def test_precision_propagation():
 
 def test_grid_normalization():
     # a half-grid series whose odd-half coefficients vanish collapses to grid 1
+    # when its frontier is a whole exponent
     s = QSeries.make(0, [1, 0, 2, 0, 3], prec=Fraction(7, 2), grid=2)
-    assert s.grid == 1
+    assert s.grid == 2 and s.prec_exponent == Fraction(7, 2)  # q^(7/2) unknown
     assert series_coeffs(s, 3) == [1, 2, 3]
-    assert s.prec_exponent == 4  # exponent 3 was known on the half grid
+    assert s.truncate(3).grid == 1 and s.truncate(3).prec_exponent == 3
+    # collapsing at a half frontier would claim q^(5/2) is zero on one side
+    a = QSeries.make(Fraction(1, 2), [1], grid=2)
+    b = QSeries.make(Fraction(3, 2), [1], prec=2, grid=2)
+    c = QSeries.make(0, [1, 1], grid=2)
+    assert first_mismatch((a * b) * c, a * (b * c)) is None
     t = QSeries.make(Fraction(1, 2), [1], prec=3, grid=2)
     assert t.grid == 2
     assert t.valuation() == Fraction(1, 2)
