@@ -13,10 +13,10 @@ The catalogued atoms are unitary of declared valuation, so these d rows are
 unitary with distinct valuations: triangular, hence independent, hence a
 basis of M_{2k}.
 
-Cuspidal spaces are built by one ladder rule, read from the catalogue: the
-rung for S_{2k} has a start k0 and seeds; all seeds but the last are lifted
-by E2^(k-k0), and the last multiplies the full basis of weight 2(k-k0).
-Below the start the space must be zero.
+Cuspidal spaces are built by one ladder rung per level, read from the
+catalogue: for every k >= k0, all seeds but the last are lifted by
+E2^(k-k0), and the last multiplies the full basis of weight 2(k-k0).
+Below the start k0, a space is zero or spanned by the base seed.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (
     LadderConditionFailed, NotInSpan, OffGrid, PrecisionExceeded,
     RankDeficient, RankExcess, UnsupportedLevel,
 )
-from .expr import Gen
+from .expr import Gen, expr_weight
 from .series import QSeries, _from_index, _min_prec, _ratio
 
 
@@ -73,12 +73,7 @@ def echelonize(forms, expected_dim, prec=None, *, level, weight, space="full"):
         common = _min_prec(common, prec)
     if common is None:
         raise InsufficientPrecision("echelonization needs a finite precision")
-    floor = sturm_bound(level, weight) + 1
-    if Fraction(common) < floor:
-        raise InsufficientPrecision(
-            f"precision {common} below the certification floor {floor} "
-            f"for weight {weight} level {level}"
-        )
+    _check_floor(common, level, weight)
     grid, size = _slots(forms, common)
     rows = []
     for f in forms:
@@ -110,6 +105,16 @@ def echelonize(forms, expected_dim, prec=None, *, level, weight, space="full"):
         ordered[i] = (lead, vals)
     elements = tuple(QSeries(grid, lead, vals, size, vals[0]) for lead, vals in ordered)
     return EchelonBasis(level, weight, space, elements, common)
+
+
+def _check_floor(prec, level, weight):
+    """Raise InsufficientPrecision unless prec passes the Sturm bound."""
+    floor = sturm_bound(level, weight) + 1
+    if Fraction(prec) < floor:
+        raise InsufficientPrecision(
+            f"precision {prec} below the certification floor {floor} "
+            f"for weight {weight} level {level}"
+        )
 
 
 # -- integer rows ----------------------------------------------------------------
@@ -166,20 +171,20 @@ def _combine(vals, holder, offset):
 def _memo_basis(space, N, k, prec, build):
     """The basis under (space, N, k), kept at the highest precision built.
 
+    A precision below the Sturm floor of weight 2k raises before any build.
     The reduced echelon basis is fixed by its span and its pivots sit below
-    the Sturm floor, so at any precision between the floor and the kept one
-    it is the kept basis truncated.  A higher precision rebuilds.
+    the floor, so at any precision between the floor and the kept one it is
+    the kept basis truncated.  A higher precision rebuilds.
     """
+    _check_floor(prec, N, 2 * k)
     key = (space, N, k)
     hit = MEMO.get(key)
-    if hit is not None and sturm_bound(N, 2 * k) < prec <= hit.prec:
+    if hit is not None and prec <= hit.prec:
         if prec == hit.prec:
             return hit
         return EchelonBasis(N, 2 * k, space,
                             tuple(e.truncate(prec) for e in hit.elements), prec)
-    basis = build(N, k, prec)
-    if hit is None or basis.prec > hit.prec:
-        MEMO[key] = basis
+    MEMO[key] = basis = build(N, k, prec)
     return basis
 
 
@@ -249,13 +254,15 @@ def s_basis(N, k, prec=None):
 def _s_basis_build(N, k, prec):
     cat = get_catalog(N)
     expected = dim_cusp(N, 2 * k)
-    k0, seeds = cat.rung(k)
+    k0, seeds = cat.k0, cat.seeds
     if k < k0:
-        if expected:
+        if not expected:
+            return EchelonBasis(N, 2 * k, "cusp", (), prec)
+        if cat.base_seed is None:
             raise LadderConditionFailed(
                 f"level {N} has no catalogued cusp forms below weight {2 * k0}"
             )
-        return EchelonBasis(N, 2 * k, "cusp", (), prec)
+        k0, seeds = expr_weight(cat.base_seed) // 2, (cat.base_seed,)
     lifted = seeds[:-1]
     if expected != len(lifted) + dim_modular(N, 2 * (k - k0)):
         raise LadderConditionFailed(

@@ -43,29 +43,16 @@ class LevelCatalog:
     delta: Eta
     generators: dict            # (weight, index) -> expression
     span_atoms: tuple           # SpanAtom, ...
-    seeds: tuple                # ladder seeds, valuations 1, 2, ...
-    k0: int
-    base_seed: object | None    # low-weight cusp seed below k0 (level 7 only)
+    seeds: tuple                # ladder seeds at weight 2*k0, valuations 1, 2, ...
+    k0: int                     # ladder start: the seeds build S_{2k} for k >= k0
+    base_seed: object | None    # the cusp form spanning S below 2*k0 (level 7 only)
     reconstructed: frozenset    # names of entries completed from outside atoms
-    ladder_period: int = 1      # the seeds build S_{2k} only when period | k
-
-    def rung(self, k):
-        """(start, seeds) of the ladder rung that builds S_{2k}.
-
-        The seeds before the last are lifted by E2^(k - start); the last one
-        multiplies the full basis of weight 2(k - start).  Half-weights off
-        the ladder period use the base seed alone, from its own half-weight.
-        """
-        if k % self.ladder_period:
-            start = expr_weight(self.base_seed) // 2
-            return start, (self.base_seed,)
-        return self.k0, self.seeds
 
 
-def _products_of_weight2(level, count=5):
+def _products_of_weight2(level):
     """The weight-4 family (E0^2, E0*E1, E0*E2, E1*E2, E2^2)."""
     e0, e1, e2 = (Gen(2, level, s) for s in (0, 1, 2))
-    return [mul(e0, e0), mul(e0, e1), mul(e0, e2), mul(e1, e2), mul(e2, e2)][:count]
+    return [mul(e0, e0), mul(e0, e1), mul(e0, e2), mul(e1, e2), mul(e2, e2)]
 
 
 def _build_catalogs():
@@ -219,7 +206,7 @@ def _build_catalogs():
             sub(Gen(6, 7, 2), scaled(49, 1, Gen(6, 7, 4))),
             sub(Gen(6, 7, 3), scaled(13, 2, Gen(6, 7, 4))),
         ),
-        k0=3, base_seed=f47, ladder_period=3, reconstructed=frozenset(),
+        k0=3, base_seed=f47, reconstructed=frozenset(),
     )
 
     # -- level 8 ----------------------------------------------------------
@@ -395,7 +382,7 @@ def named_forms(N):
     for i, seed in enumerate(cat.seeds, start=1):
         out[f"F{2 * cat.k0}_{N}_{i}"] = seed
     if cat.base_seed is not None:
-        out[f"F4_{N}_1"] = cat.base_seed
+        out[f"F{expr_weight(cat.base_seed)}_{N}_1"] = cat.base_seed
     return out
 
 

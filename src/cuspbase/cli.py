@@ -19,8 +19,8 @@ from .catalog import evaluate
 from .dimensions import SUPPORTED_LEVELS, default_prec, dim_cusp, dim_modular, \
     sturm_bound
 from .errors import (
-    CuspbaseError, ExprSyntaxError, FractionalValuation, OddWeight,
-    UnknownAtom, UnsupportedLevel, WeightMismatch,
+    CuspbaseError, ExprSyntaxError, FractionalValuation, LatticePoint,
+    OddWeight, UnknownAtom, UnsupportedLevel, WeightMismatch,
 )
 from .eta import EtaQuotient, eta_expand
 from .expr import _frac_str
@@ -212,7 +212,7 @@ def main(argv=None, out=None):
     try:
         return handlers[args.command](args, out)
     except (ValueError, ExprSyntaxError, UnknownAtom, UnsupportedLevel,
-            OddWeight, FractionalValuation, WeightMismatch) as exc:
+            OddWeight, FractionalValuation, WeightMismatch, LatticePoint) as exc:
         if isinstance(exc, ExprSyntaxError) and args.command == "expand" \
                 and args.expr is not None:
             print(args.expr, file=sys.stderr)

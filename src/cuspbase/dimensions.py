@@ -130,10 +130,8 @@ def level_profile(N):
         seeds = ()
     else:
         rho, nu, k0 = delta
-        if N in (7, 10):
-            seeds = tuple(f"F{2 * k0}_{N}_{s}" for s in (1, 2, 3))
-        else:
-            seeds = (f"F{2 * k0}_{N}_1",)
+        seeds = tuple(f"F{2 * k0}_{N}_{s}"
+                      for s in range(1, dim_cusp(N, 2 * k0) + 1))
     return LevelProfile(
         level=N,
         index=index,
@@ -207,30 +205,21 @@ def dim_shift_report(N, k_max):
     return rows
 
 
-def ladder_condition(N, k0, k):
-    """dim S_{2k} == dim M_{2(k-k0)} + dim S_{2k0} - 1."""
-    return dim_cusp(N, 2 * k) == dim_modular(N, 2 * (k - k0)) + dim_cusp(N, 2 * k0) - 1
-
-
-def ladder_dim_report(N, k0=None, window=6, extra=6):
+def ladder_dim_report(N, k0):
     """Per-k ladder dimension identity, plus constancy of the difference.
 
     Checks dim S_{2k} = dim M_{2(k-k0)} + dim S_{2k0} - 1 for k in
-    k0+1..k0+window and that k -> dim S_{2k} - dim M_{2(k-k0)} stays constant
-    over the extended range (the 6-periodic difference must be constant for
-    the ladder to run forever).  Returns (rows, constant_ok, diffs).
+    k0+1..k0+6 and that k -> dim S_{2k} - dim M_{2(k-k0)} stays constant
+    through k0+12 (the 6-periodic difference must be constant for the
+    ladder to run forever).  Returns (rows, constant_ok, diffs).
     """
-    if k0 is None:
-        if N not in DELTA_DATA:
-            raise UnsupportedLevel(f"no ladder start recorded for level {N}")
-        k0 = DELTA_DATA[N][2]
     target = dim_cusp(N, 2 * k0) - 1
     rows = []
     diffs = []
-    for k in range(k0 + 1, k0 + window + extra + 1):
+    for k in range(k0 + 1, k0 + 13):
         diff = dim_cusp(N, 2 * k) - dim_modular(N, 2 * (k - k0))
         diffs.append(diff)
-        if k <= k0 + window:
+        if k <= k0 + 6:
             rows.append((k, target, diff, diff == target))
     constant_ok = all(d == target for d in diffs)
     return rows, constant_ok, diffs

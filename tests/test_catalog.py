@@ -7,7 +7,7 @@ from conftest import series_coeffs
 from cuspbase.catalog import (
     catalog_identities, eta_leaves, evaluate, get_catalog, named_forms,
 )
-from cuspbase.dimensions import DELTA_DATA, default_prec
+from cuspbase.dimensions import DELTA_DATA, default_prec, dim_cusp, level_profile
 from cuspbase.errors import UnsupportedLevel
 from cuspbase.eta import eta_profile
 from cuspbase.parse import parse_expr
@@ -50,7 +50,11 @@ def test_seed_counts():
     for n in range(1, 11):
         cat = get_catalog(n)
         assert len(cat.seeds) == (3 if n in (7, 10) else 1)
+        assert len(cat.seeds) == dim_cusp(n, 2 * cat.k0)
         assert cat.k0 == DELTA_DATA[n][2]
+        seed_names = [name for name in named_forms(n)
+                      if name.startswith(f"F{2 * cat.k0}_")]
+        assert list(level_profile(n).seed_names) == seed_names
     assert get_catalog(7).base_seed is not None
 
 

@@ -131,6 +131,15 @@ def test_weight_mismatch_is_a_usage_error(expr, capsys):
     assert err.startswith("cuspbase: error:") and "WeightMismatch" not in err
 
 
+@pytest.mark.parametrize("argv", [["--wpa", "4,0,2"], ["--expr", "wpa(4,0,2)"]])
+def test_lattice_point_is_a_usage_error(argv, capsys):
+    # z = 2*tau is a lattice point for (1, 2*tau): the user typed it
+    code, text = run_cli(["expand", *argv, "--prec", "3"])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("cuspbase: error:") and "LatticePoint" not in err
+
+
 def test_expand_eta():
     code, text = run_cli(["expand", "--eta", "4:8,2:-4", "--prec", "10"])
     assert code == 0

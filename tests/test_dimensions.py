@@ -4,7 +4,7 @@ import pytest
 
 from cuspbase.dimensions import (
     count_cusps, default_prec, dim_cusp, dim_modular, dim_shift_report,
-    ladder_condition, ladder_dim_report, level_profile, sturm_bound,
+    ladder_dim_report, level_profile, sturm_bound,
 )
 from cuspbase.errors import OddWeight, UnsupportedLevel
 from cuspbase.verify import PRINTED_TABLES
@@ -122,4 +122,5 @@ def test_level26_has_no_ladder_start():
     for k0 in range(1, 11):
         _, constant_ok, _ = ladder_dim_report(26, k0)
         assert not constant_ok
-    assert not ladder_condition(26, 1, 7)
+    rows, _, _ = ladder_dim_report(26, 1)
+    assert rows[5][0] == 7 and not rows[5][3]
