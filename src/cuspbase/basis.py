@@ -308,11 +308,9 @@ def verify_membership(f, basis):
             continue
         coords.append(_ratio(c, den))
         row, el_den = _int_row(el, grid, size)
-        # residual/den - (c/den) * row/el_den, over the denominator den*el_den/g
-        g = gcd(c, el_den)
-        a, b = el_den // g, c // g
-        residual = [a * x - b * y for x, y in zip(residual, row)]
-        den *= a
+        # el is unitary (row[slot] == el_den), so den grows by el_den/gcd
+        residual = _combine(residual, row[slot:], slot)
+        den *= el_den // gcd(c, el_den)
     for slot, x in enumerate(residual):
         if x:
             raise NotInSpan(_from_index(slot, grid))
@@ -362,10 +360,9 @@ def structure_decompose(N, k):
     delta = evaluate(get_catalog(N).delta, target)
     rows = []
     for n in range(q):
-        low = s_basis(N, k - n * half, max(target - n * nu,
-                                           default_prec(N, 2 * (k - n * half))))
+        low = s_basis(N, k - n * half, target - n * nu)
         rows.extend((delta ** n) * e for e in low.elements[:nu])
-    base = s_basis(N, r, max(target - q * nu, default_prec(N, 2 * r)))
+    base = s_basis(N, r, target - q * nu)
     rows.extend((delta ** q) * e for e in base.elements)
     rebuilt = echelonize(rows, expected, target, level=N, weight=2 * k,
                          space="cusp")

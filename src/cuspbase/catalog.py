@@ -1,10 +1,11 @@
-"""Per-level data: structuring eta forms, generator families, ladder seeds.
+"""Per-level data: one record per level, holding everything stated about it.
 
 Levels 1..10 each carry the eta quotient of their structuring form, the
 low-weight generator family expressed over eta / Eisenstein / Weierstrass
-atoms, the cuspidal ladder seeds, and the atom list whose monomials span
-the full spaces.  The evaluator turns any expression tree into an exact
-QSeries at a requested precision.
+atoms, the cuspidal ladder seeds, the atom list whose monomials span the
+full spaces, and the identity pairs checking one form two ways.  The ladder
+start k0 and the atom weights are read off the expressions, not restated.
+The evaluator turns any expression tree into an exact QSeries.
 
 Two seeds have no closed form stated over the available atoms (level 3 at
 weight 6, level 6 at weight 4); they are completed with the classical
@@ -13,14 +14,14 @@ cuspidal eta products of those levels and flagged ``reconstructed``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .eisenstein import eisenstein_series, weight2_level_combo
 from .errors import UnsupportedLevel
 from .eta import EtaQuotient, eta_expand
 from .expr import (
     Add, Const, Delta, Eis, Eta, Gen, Lit, Mul, Pow, Subst, W2, Wpa,
-    add, eta, expr_weight, mul, neg, scaled, sub, wp,
+    add, eta, expr_weight, mul, neg, scaled, sub,
 )
 from .series import QSeries
 from .weierstrass import TorsionPoint, wpa_expand
@@ -28,25 +29,31 @@ from .weierstrass import TorsionPoint, wpa_expand
 
 @dataclass(frozen=True)
 class SpanAtom:
-    """A unitary form of the declared weight and valuation; the full spaces
-    are spanned by monomials in a level's atoms."""
+    """A unitary form of the declared valuation; the full spaces are
+    spanned by monomials in a level's atoms."""
 
     name: str
     expr: object
-    weight: int
-    valuation: int
+    valuation: int              # declared: a sum may cancel its leading terms
+    weight: int = field(init=False)  # expr_weight(expr)
+
+    def __post_init__(self):
+        object.__setattr__(self, "weight", expr_weight(self.expr))
 
 
 @dataclass(frozen=True)
 class LevelCatalog:
-    level: int
     delta: Eta
     generators: dict            # (weight, index) -> expression
     span_atoms: tuple           # SpanAtom, ...
-    seeds: tuple                # ladder seeds at weight 2*k0, valuations 1, 2, ...
-    k0: int                     # ladder start: the seeds build S_{2k} for k >= k0
-    base_seed: object | None    # the cusp form spanning S below 2*k0 (level 7 only)
-    reconstructed: frozenset    # names of entries completed from outside atoms
+    seeds: tuple                # ladder seeds of one weight, valuations 1, 2, ...
+    base_seed: object | None = None  # spans S below weight 2*k0 (level 7 only)
+    reconstructed: frozenset = frozenset()  # entries completed from outside atoms
+    identities: tuple = ()      # (check id, lhs, rhs, weight), ...
+    k0: int = field(init=False)  # half the seeds' weight: they build S_{2k}, k >= k0
+
+    def __post_init__(self):
+        object.__setattr__(self, "k0", expr_weight(self.seeds[0]) // 2)
 
 
 def _products_of_weight2(level):
@@ -58,57 +65,46 @@ def _products_of_weight2(level):
 def _build_catalogs():
     cats = {}
 
-    deltas = {
-        1: eta((1, 24)),
-        2: eta((2, 16), (1, -8)),
-        3: eta((3, 18), (1, -6)),
-        4: eta((4, 8), (2, -4)),
-        5: eta((5, 10), (1, -2)),
-        6: eta((1, 2), (2, -4), (3, -6), (6, 12)),
-        7: eta((7, 14), (1, -2)),
-        8: eta((8, 8), (4, -4)),
-        9: eta((9, 6), (3, -2)),
-        10: eta((1, 2), (2, -4), (5, -10), (10, 20)),
-    }
-
     # -- level 1: Eisenstein monomials, no weight-2 form exists ----------
     cats[1] = LevelCatalog(
-        level=1, delta=deltas[1], generators={},
+        delta=eta((1, 24)), generators={},
         span_atoms=(
-            SpanAtom("E4_1", Eis(4, 1), 4, 0),
-            SpanAtom("E6_1", Eis(6, 1), 6, 0),
-            SpanAtom("delta_1", Delta(1), 12, 1),
+            SpanAtom("E4_1", Eis(4, 1), 0),
+            SpanAtom("E6_1", Eis(6, 1), 0),
+            SpanAtom("delta_1", Delta(1), 1),
         ),
-        seeds=(Delta(1),), k0=6, base_seed=None, reconstructed=frozenset(),
+        seeds=(Delta(1),),
     )
 
     # -- level 2 ----------------------------------------------------------
     g2 = {
-        (2, 0): scaled(-3, 1, wp(2, 0, 2)),
+        (2, 0): scaled(-3, 1, Wpa(2, 0, 2)),
         (4, 0): Pow(Gen(2, 2, 0), 2),
         (4, 1): Delta(2),
     }
+    f82 = mul(sub(Gen(4, 2, 0), scaled(64, 1, Gen(4, 2, 1))), Gen(4, 2, 1))
     cats[2] = LevelCatalog(
-        level=2, delta=deltas[2], generators=g2,
+        delta=eta((2, 16), (1, -8)), generators=g2,
         span_atoms=(
-            SpanAtom("E2_2_0", Gen(2, 2, 0), 2, 0),
-            SpanAtom("delta_2", Delta(2), 4, 1),
+            SpanAtom("E2_2_0", Gen(2, 2, 0), 0),
+            SpanAtom("delta_2", Delta(2), 1),
         ),
-        seeds=(mul(sub(Gen(4, 2, 0), scaled(64, 1, Gen(4, 2, 1))), Gen(4, 2, 1)),),
-        k0=4, base_seed=None, reconstructed=frozenset(),
+        seeds=(f82,),
+        identities=(
+            ("identity:E2_2_0:lambert_combo", Gen(2, 2, 0), W2(2), 2),
+            ("identity:F8_2_1:eta_product", f82, eta((1, 8), (2, 8)), 8),
+        ),
     )
 
     # -- level 3 ----------------------------------------------------------
-    g3 = {(2, 0): W2(3)}
     cats[3] = LevelCatalog(
-        level=3, delta=deltas[3], generators=g3,
+        delta=eta((3, 18), (1, -6)), generators={(2, 0): W2(3)},
         span_atoms=(
-            SpanAtom("E2_3_0", Gen(2, 3, 0), 2, 0),
-            SpanAtom("E4_3_1", scaled(1, 240, sub(Eis(4, 1), Eis(4, 3))), 4, 1),
-            SpanAtom("delta_3", Delta(3), 6, 2),
+            SpanAtom("E2_3_0", Gen(2, 3, 0), 0),
+            SpanAtom("E4_3_1", scaled(1, 240, sub(Eis(4, 1), Eis(4, 3))), 1),
+            SpanAtom("delta_3", Delta(3), 2),
         ),
         seeds=(eta((1, 6), (3, 6)),),
-        k0=3, base_seed=None,
         reconstructed=frozenset({"E2_3_0", "F6_3_1"}),
     )
 
@@ -118,19 +114,18 @@ def _build_catalogs():
         (2, 1): Delta(4),
     }
     cats[4] = LevelCatalog(
-        level=4, delta=deltas[4], generators=g4,
+        delta=eta((4, 8), (2, -4)), generators=g4,
         span_atoms=(
-            SpanAtom("E2_4_0", Gen(2, 4, 0), 2, 0),
-            SpanAtom("E2_4_1", Gen(2, 4, 1), 2, 1),
+            SpanAtom("E2_4_0", Gen(2, 4, 0), 0),
+            SpanAtom("E2_4_1", Gen(2, 4, 1), 1),
         ),
         seeds=(mul(Gen(2, 4, 0), Gen(2, 4, 1),
                    add(Gen(2, 4, 0), scaled(16, 1, Gen(2, 4, 1)))),),
-        k0=3, base_seed=None, reconstructed=frozenset(),
     )
 
     # -- level 5 ----------------------------------------------------------
-    w15, w25 = wp(2, 0, 5), wp(4, 0, 5)
-    half5, tau5 = wp(0, 1, 5), wp(5, 0, 5)
+    w15, w25 = Wpa(2, 0, 5), Wpa(4, 0, 5)
+    half5, tau5 = Wpa(0, 1, 5), Wpa(5, 0, 5)
     g5 = {
         (2, 0): scaled(-3, 2, add(w15, w25)),
         (4, 0): Pow(Gen(2, 5, 0), 2),
@@ -141,34 +136,47 @@ def _build_catalogs():
         (4, 2): Delta(5),
     }
     cats[5] = LevelCatalog(
-        level=5, delta=deltas[5], generators=g5,
+        delta=eta((5, 10), (1, -2)), generators=g5,
         span_atoms=(
-            SpanAtom("E2_5_0", Gen(2, 5, 0), 2, 0),
-            SpanAtom("E4_5_1", Gen(4, 5, 1), 4, 1),
-            SpanAtom("delta_5", Gen(4, 5, 2), 4, 2),
+            SpanAtom("E2_5_0", Gen(2, 5, 0), 0),
+            SpanAtom("E4_5_1", Gen(4, 5, 1), 1),
+            SpanAtom("delta_5", Gen(4, 5, 2), 2),
         ),
         seeds=(sub(Gen(4, 5, 1), scaled(10, 1, Gen(4, 5, 2))),),
-        k0=2, base_seed=None, reconstructed=frozenset(),
+        identities=(
+            ("identity:delta_5:weierstrass_square", Delta(5),
+             scaled(1, 16, Pow(sub(w15, w25), 2)), 4),
+            ("identity:E2_5_0:lambert_combo", Gen(2, 5, 0), W2(5), 2),
+        ),
     )
 
     # -- level 6 ----------------------------------------------------------
     g6 = {
-        (2, 0): scaled(-3, 1, wp(2, 0, 2)),
-        (2, 1): scaled(-1, 4, sub(wp(2, 0, 2), wp(2, 0, 3))),
+        (2, 0): scaled(-3, 1, Wpa(2, 0, 2)),
+        (2, 1): scaled(-1, 4, sub(Wpa(2, 0, 2), Wpa(2, 0, 3))),
         (2, 2): Delta(6),
     }
     cats[6] = LevelCatalog(
-        level=6, delta=deltas[6], generators=g6,
+        delta=eta((1, 2), (2, -4), (3, -6), (6, 12)), generators=g6,
         span_atoms=tuple(
-            SpanAtom(f"E2_6_{s}", Gen(2, 6, s), 2, s) for s in (0, 1, 2)
+            SpanAtom(f"E2_6_{s}", Gen(2, 6, s), s) for s in (0, 1, 2)
         ),
         seeds=(eta((1, 2), (2, 2), (3, 2), (6, 2)),),
-        k0=2, base_seed=None, reconstructed=frozenset({"F4_6_1"}),
+        reconstructed=frozenset({"F4_6_1"}),
+        identities=(
+            ("identity:delta_6:weierstrass_sum", Delta(6),
+             scaled(1, 48, add(
+                 scaled(3, 1, Wpa(2, 0, 2)),
+                 scaled(-8, 1, Wpa(2, 0, 3)),
+                 *[Wpa(2 * j, 0, 6) for j in range(1, 6)],
+             )), 2),
+            ("identity:E2_6_0:lambert_combo", Gen(2, 6, 0), W2(2), 2),
+        ),
     )
 
     # -- level 7 ----------------------------------------------------------
-    w17, w27, w37 = wp(2, 0, 7), wp(4, 0, 7), wp(6, 0, 7)
-    half7, tau7 = wp(0, 1, 7), wp(7, 0, 7)
+    w17, w27, w37 = Wpa(2, 0, 7), Wpa(4, 0, 7), Wpa(6, 0, 7)
+    half7, tau7 = Wpa(0, 1, 7), Wpa(7, 0, 7)
     sum7 = add(w17, w27, w37)
     g7 = {
         (2, 0): neg(sum7),
@@ -192,21 +200,26 @@ def _build_catalogs():
         (6, 4): Delta(7),
     }
     f47 = sub(Gen(4, 7, 1), scaled(6, 1, Gen(4, 7, 2)))
+    f67 = mul(f47, Gen(2, 7, 0))
     cats[7] = LevelCatalog(
-        level=7, delta=deltas[7], generators=g7,
+        delta=eta((7, 14), (1, -2)), generators=g7,
         span_atoms=(
-            SpanAtom("E2_7_0", Gen(2, 7, 0), 2, 0),
-            SpanAtom("E4_7_1", Gen(4, 7, 1), 4, 1),
-            SpanAtom("E4_7_2", Gen(4, 7, 2), 4, 2),
-            SpanAtom("E6_7_3", Gen(6, 7, 3), 6, 3),
-            SpanAtom("delta_7", Gen(6, 7, 4), 6, 4),
+            SpanAtom("E2_7_0", Gen(2, 7, 0), 0),
+            SpanAtom("E4_7_1", Gen(4, 7, 1), 1),
+            SpanAtom("E4_7_2", Gen(4, 7, 2), 2),
+            SpanAtom("E6_7_3", Gen(6, 7, 3), 3),
+            SpanAtom("delta_7", Gen(6, 7, 4), 4),
         ),
         seeds=(
-            mul(f47, Gen(2, 7, 0)),
+            f67,
             sub(Gen(6, 7, 2), scaled(49, 1, Gen(6, 7, 4))),
             sub(Gen(6, 7, 3), scaled(13, 2, Gen(6, 7, 4))),
         ),
-        k0=3, base_seed=f47, reconstructed=frozenset(),
+        base_seed=f47,
+        identities=(
+            ("identity:F6_7_1:m_basis_coords", f67,
+             sub(Gen(6, 7, 1), scaled(6, 1, Gen(6, 7, 2))), 6),
+        ),
     )
 
     # -- level 8 ----------------------------------------------------------
@@ -218,38 +231,42 @@ def _build_catalogs():
     for s, prod in enumerate(_products_of_weight2(8)):
         g8[(4, s)] = prod
     cats[8] = LevelCatalog(
-        level=8, delta=deltas[8], generators=g8,
+        delta=eta((8, 8), (4, -4)), generators=g8,
         span_atoms=tuple(
-            SpanAtom(f"E2_8_{s}", Gen(2, 8, s), 2, s) for s in (0, 1, 2)
+            SpanAtom(f"E2_8_{s}", Gen(2, 8, s), s) for s in (0, 1, 2)
         ),
         seeds=(add(Gen(4, 8, 1),
                    scaled(8, 1, Gen(4, 8, 2)),
                    scaled(32, 1, Gen(4, 8, 3)),
                    scaled(-128, 1, Gen(4, 8, 4))),),
-        k0=2, base_seed=None, reconstructed=frozenset(),
+        identities=(
+            ("identity:delta_8:scaled_delta_4", Delta(8), Subst(Delta(4), 2), 2),
+        ),
     )
 
     # -- level 9 ----------------------------------------------------------
     g9 = {
-        (2, 0): scaled(-3, 1, wp(6, 0, 9)),
-        (2, 1): scaled(-1, 4, sub(wp(2, 0, 3), wp(6, 0, 9))),
+        (2, 0): scaled(-3, 1, Wpa(6, 0, 9)),
+        (2, 1): scaled(-1, 4, sub(Wpa(2, 0, 3), Wpa(6, 0, 9))),
         (2, 2): Delta(9),
     }
     for s, prod in enumerate(_products_of_weight2(9)):
         g9[(4, s)] = prod
     cats[9] = LevelCatalog(
-        level=9, delta=deltas[9], generators=g9,
+        delta=eta((9, 6), (3, -2)), generators=g9,
         span_atoms=tuple(
-            SpanAtom(f"E2_9_{s}", Gen(2, 9, s), 2, s) for s in (0, 1, 2)
+            SpanAtom(f"E2_9_{s}", Gen(2, 9, s), s) for s in (0, 1, 2)
         ),
         seeds=(add(Gen(4, 9, 1),
                    scaled(-3, 1, Gen(4, 9, 2)),
                    scaled(-27, 1, Gen(4, 9, 4))),),
-        k0=2, base_seed=None, reconstructed=frozenset(),
+        identities=(
+            ("identity:E2_9_0:lambert_combo", Gen(2, 9, 0), Subst(W2(3), 3), 2),
+        ),
     )
 
     # -- level 10 ---------------------------------------------------------
-    w12, w1_5, w2_5, w5_10 = wp(2, 0, 2), wp(2, 0, 5), wp(4, 0, 5), wp(10, 0, 10)
+    w12, w1_5, w2_5, w5_10 = Wpa(2, 0, 2), Wpa(2, 0, 5), Wpa(4, 0, 5), Wpa(10, 0, 10)
     g10 = {
         (2, 0): scaled(-3, 1, w5_10),
         (2, 1): scaled(-1, 8, sub(w12, w5_10)),
@@ -266,13 +283,13 @@ def _build_catalogs():
     g10[(4, 6)] = Delta(10)
     e = {s: Gen(4, 10, s) for s in range(1, 7)}
     cats[10] = LevelCatalog(
-        level=10, delta=deltas[10], generators=g10,
+        delta=eta((1, 2), (2, -4), (5, -10), (10, 20)), generators=g10,
         span_atoms=(
-            SpanAtom("E2_10_0", Gen(2, 10, 0), 2, 0),
-            SpanAtom("E2_10_1", Gen(2, 10, 1), 2, 1),
-            SpanAtom("E2_10_2", Gen(2, 10, 2), 2, 2),
-            SpanAtom("E4_10_5", Gen(4, 10, 5), 4, 5),
-            SpanAtom("E4_10_6", Gen(4, 10, 6), 4, 6),
+            SpanAtom("E2_10_0", Gen(2, 10, 0), 0),
+            SpanAtom("E2_10_1", Gen(2, 10, 1), 1),
+            SpanAtom("E2_10_2", Gen(2, 10, 2), 2),
+            SpanAtom("E4_10_5", Gen(4, 10, 5), 5),
+            SpanAtom("E4_10_6", Gen(4, 10, 6), 6),
         ),
         seeds=(
             add(e[1], neg(e[2]), scaled(-4, 1, e[3]), scaled(2, 1, e[4]),
@@ -282,7 +299,10 @@ def _build_catalogs():
             add(e[3], scaled(-3, 1, e[4]), scaled(-8, 1, e[5]),
                 scaled(20, 1, e[6])),
         ),
-        k0=2, base_seed=None, reconstructed=frozenset(),
+        identities=(
+            ("identity:E2_10_0:lambert_combo", Gen(2, 10, 0),
+             Subst(Gen(2, 2, 0), 5), 2),
+        ),
     )
 
     return cats
@@ -333,7 +353,7 @@ def _eval_uncached(expr, prec):
     if isinstance(expr, Eta):
         return eta_expand(expr.quotient(), prec)
     if isinstance(expr, Eis):
-        inner = -(-prec // expr.scale)
+        inner = _inner_prec(prec, expr.scale)
         return eisenstein_series(expr.weight, inner).substitute_q_power(expr.scale)
     if isinstance(expr, W2):
         return weight2_level_combo(expr.level, prec)
@@ -366,9 +386,16 @@ def _eval_uncached(expr, prec):
     if isinstance(expr, Pow):
         return _eval(expr.base, prec) ** expr.exponent
     if isinstance(expr, Subst):
-        inner = -(-prec // expr.d)
+        inner = _inner_prec(prec, expr.d)
         return _eval(expr.child, inner).substitute_q_power(expr.d)
     raise TypeError(f"not a form expression: {expr!r}")
+
+
+def _inner_prec(prec, d):
+    """The precision f needs for f(d*tau) to reach prec."""
+    if d < 1:
+        raise ValueError("substitution power must be a positive integer")
+    return -(-prec // d)
 
 
 # -- named access and identity corpus ----------------------------------------
@@ -418,35 +445,4 @@ def eta_leaves():
 
 def catalog_identities(N):
     """Cross-representation identity pairs (check id, lhs, rhs, weight)."""
-    get_catalog(N)
-    out = []
-    if N == 2:
-        out.append(("identity:E2_2_0:lambert_combo", Gen(2, 2, 0), W2(2), 2))
-        out.append(("identity:F8_2_1:eta_product",
-                    get_catalog(2).seeds[0], eta((1, 8), (2, 8)), 8))
-    if N == 5:
-        out.append(("identity:delta_5:weierstrass_square", Delta(5),
-                    scaled(1, 16, Pow(sub(wp(2, 0, 5), wp(4, 0, 5)), 2)), 4))
-        out.append(("identity:E2_5_0:lambert_combo", Gen(2, 5, 0), W2(5), 2))
-    if N == 6:
-        out.append(("identity:delta_6:weierstrass_sum", Delta(6),
-                    scaled(1, 48, add(
-                        scaled(3, 1, wp(2, 0, 2)),
-                        scaled(-8, 1, wp(2, 0, 3)),
-                        *[wp(2 * j, 0, 6) for j in range(1, 6)],
-                    )), 2))
-        out.append(("identity:E2_6_0:lambert_combo", Gen(2, 6, 0), W2(2), 2))
-    if N == 7:
-        out.append(("identity:F6_7_1:m_basis_coords",
-                    get_catalog(7).seeds[0],
-                    sub(Gen(6, 7, 1), scaled(6, 1, Gen(6, 7, 2))), 6))
-    if N == 8:
-        out.append(("identity:delta_8:scaled_delta_4", Delta(8),
-                    Subst(Delta(4), 2), 2))
-    if N == 9:
-        out.append(("identity:E2_9_0:lambert_combo", Gen(2, 9, 0),
-                    Subst(W2(3), 3), 2))
-    if N == 10:
-        out.append(("identity:E2_10_0:lambert_combo", Gen(2, 10, 0),
-                    Subst(Gen(2, 2, 0), 5), 2))
-    return out
+    return list(get_catalog(N).identities)

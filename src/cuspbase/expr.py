@@ -163,16 +163,8 @@ def expr_weight(expr):
 
 # -- builders used by the catalogue and tests --------------------------------
 
-def const(p, q=1):
-    return Const(Fraction(p, q))
-
-
 def eta(*pairs):
     return Eta(tuple(pairs))
-
-
-def wp(a, b, level):
-    return Wpa(a, b, level)
 
 
 def add(*terms):

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .dimensions import DELTA_DATA
 from .errors import ExprSyntaxError, UnknownAtom
+from .eta import EtaQuotient
 from .expr import Add, Const, Delta, Eis, Eta, Gen, Lit, Mul, Pow, Subst, W2, Wpa
+from .weierstrass import TorsionPoint
 
 _ATOM_NAMES = ("eta", "E4", "E6", "Ew2", "wpa", "delta", "qser")
 
@@ -55,6 +58,13 @@ class _Parser:
         if not ok(n):
             raise ExprSyntaxError(message, start)
         return n
+
+    def _valid_at(self, start, check, *args):
+        """check(*args), with its ValueError raised as an error at start."""
+        try:
+            check(*args)
+        except ValueError as exc:
+            raise ExprSyntaxError(str(exc), start) from None
 
     def _rational(self):
         num = self._int()
@@ -171,24 +181,24 @@ class _Parser:
                     if self.peek() != ",":
                         break
                     self.pos += 1
-            scales = [m for m, _ in pairs]
-            if len(set(scales)) != len(scales):
-                raise ExprSyntaxError("duplicate eta scale", start)
+            self._valid_at(start, EtaQuotient, pairs)
             return Eta(tuple(pairs))
         if name in ("E4", "E6"):
             d = self._checked_int(lambda x: x > 0, "Eisenstein scale must be positive")
             return Eis(int(name[1]), d)
         if name == "Ew2":
-            return W2(self._int())
+            return W2(self._checked_int(lambda x: x >= 2, "Ew2 needs a level >= 2"))
         if name == "wpa":
             a = self._int()
             self.expect(",")
             b = self._int()
             self.expect(",")
             n = self._int()
+            self._valid_at(start, TorsionPoint, a, b, n)
             return Wpa(a, b, n)
         if name == "delta":
-            return Delta(self._int())
+            return Delta(self._checked_int(lambda x: x in DELTA_DATA,
+                                           "no structuring form at that level"))
         if name == "qser":
             lead = self._int()
             self.expect(":")

@@ -179,7 +179,7 @@ def test_incomplete_span_when_a_valuation_is_unreachable(monkeypatch, k, rank,
 def test_incomplete_span_when_an_atom_lies_about_its_valuation(monkeypatch):
     # an atom filed under valuation 1 that is really E2^2 duplicates the
     # valuation-0 row, so elimination falls a rank short
-    fake = SpanAtom("fake", Pow(Gen(2, 3, 0), 2), 4, 1)
+    fake = SpanAtom("fake", Pow(Gen(2, 3, 0), 2), 1)
     atoms = [fake if a.valuation == 1 else a for a in get_catalog(3).span_atoms]
     err = incomplete_span_with_level3_atoms(monkeypatch, atoms, 2)
     assert (err.rank, err.expected) == (1, 2)
@@ -268,10 +268,11 @@ def test_unsupported_level():
 
 def test_ladder_condition_failure_raises(monkeypatch):
     # force a wrong ladder start on the level-7 catalogue: a single-seed
-    # rung with k0=2 must trip the dimension guard at k=6
+    # rung of the weight-4 base seed (so k0=2) must trip the dimension
+    # guard at k=6
     cat = get_catalog(7)
-    doctored = dataclasses.replace(
-        cat, k0=2, seeds=(cat.base_seed,), base_seed=None)
+    doctored = dataclasses.replace(cat, seeds=(cat.base_seed,), base_seed=None)
+    assert doctored.k0 == 2
     monkeypatch.setitem(catalog_mod._CATALOGS, 7, doctored)
     catalog_mod.clear_caches()
     try:

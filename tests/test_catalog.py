@@ -10,6 +10,7 @@ from cuspbase.catalog import (
 from cuspbase.dimensions import DELTA_DATA, default_prec, dim_cusp, level_profile
 from cuspbase.errors import UnsupportedLevel
 from cuspbase.eta import eta_profile
+from cuspbase.expr import expr_weight
 from cuspbase.parse import parse_expr
 from cuspbase.series import first_mismatch
 from cuspbase.verify import PRINTED_SERIES, check_printed_series
@@ -44,6 +45,19 @@ def test_seeds_unitary_with_increasing_valuations():
             series = evaluate(seed, default_prec(n, 2 * cat.k0))
             assert series.valuation() == i, (n, i)
             assert series.leading_coefficient() == 1, (n, i)
+
+
+def test_generator_bodies_weigh_their_keys():
+    # expr_weight(Gen) trusts the key, so the body is checked here
+    for n in range(1, 11):
+        for (w, s), form in get_catalog(n).generators.items():
+            assert expr_weight(form) == w, (n, w, s)
+
+
+def test_seeds_share_one_weight():
+    for n in range(1, 11):
+        cat = get_catalog(n)
+        assert {expr_weight(seed) for seed in cat.seeds} == {2 * cat.k0}, n
 
 
 def test_seed_counts():

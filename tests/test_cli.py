@@ -112,6 +112,15 @@ def test_prec_zero_is_a_usage_error(argv, capsys):
     ("E6(-2)", 3),
     ("2^-1", 2),
     ("E4(1)@0", 6),
+    # atom arguments out of range: at the number, or at the atom's first
+    # character when its constructor rejects the arguments together
+    ("Ew2(0)", 4),
+    ("delta(0)", 6),
+    ("1+delta(11)", 8),
+    ("wpa(0,0,0)", 0),
+    ("2*wpa(1,2,3)", 2),
+    ("eta(0:1)", 0),
+    ("eta(1:1,1:2)", 0),
 ])
 def test_bad_number_is_a_positioned_usage_error(expr, caret, capsys):
     code, text = run_cli(["expand", "--expr", expr, "--prec", "3"])

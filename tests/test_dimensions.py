@@ -3,8 +3,8 @@
 import pytest
 
 from cuspbase.dimensions import (
-    count_cusps, default_prec, dim_cusp, dim_modular, dim_shift_report,
-    ladder_dim_report, level_profile, sturm_bound,
+    DELTA_DATA, count_cusps, default_prec, dim_cusp, dim_modular,
+    dim_shift_report, group_index, ladder_dim_report, level_profile, sturm_bound,
 )
 from cuspbase.errors import OddWeight, UnsupportedLevel
 from cuspbase.verify import PRINTED_TABLES
@@ -124,3 +124,11 @@ def test_level26_has_no_ladder_start():
         assert not constant_ok
     rows, _, _ = ladder_dim_report(26, 1)
     assert rows[5][0] == 7 and not rows[5][3]
+
+
+def test_delta_valuation_fills_its_weights_sturm_count():
+    # rho * [SL2(Z):Gamma0(N)] = 12 nu, so lifting by delta^n adds n*nu to
+    # both the Sturm bound and the valuation: structure_decompose relies on
+    # default_prec(N, 2k) - n*nu >= default_prec(N, 2k - n*rho)
+    for n, (rho, nu, _) in DELTA_DATA.items():
+        assert rho * group_index(n) == 12 * nu, n

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import series_coeffs
 from cuspbase.catalog import (
-    catalog_identities, evaluate, get_catalog, named_forms,
+    catalog_identities, clear_caches, evaluate, get_catalog, named_forms,
 )
 from cuspbase.errors import (
     ExprSyntaxError, UnknownAtom, UnsupportedLevel, WeightMismatch,
@@ -120,6 +120,35 @@ def trees(draw, weight, depth=3):
 @given(st.sampled_from([0, 2, 4]).flatmap(trees), st.integers(1, 8))
 def test_render_round_trip_keeps_the_value(tree, prec):
     assert evaluate(parse_expr(render(tree)), prec) == evaluate(tree, prec)
+
+
+@st.composite
+def wrapped_trees(draw):
+    """trees(), bare or under a power 0..3 or a scaling by 1..4."""
+    tree = draw(st.sampled_from([0, 2, 4]).flatmap(trees))
+    wrap = draw(st.sampled_from(["bare", "pow", "subst"]))
+    if wrap == "pow":
+        return Pow(tree, draw(st.integers(0, 3)))
+    if wrap == "subst":
+        return Subst(tree, draw(st.integers(1, 4)))
+    return tree
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(wrapped_trees(), st.integers(1, 8), st.integers(1, 8))
+def test_more_precision_only_adds_coefficients(tree, lo, extra):
+    clear_caches()
+    high = evaluate(tree, lo + extra)
+    clear_caches()
+    assert high.truncate(lo) == evaluate(tree, lo)
+
+
+@pytest.mark.parametrize("tree", [Eis(4, 0), Subst(Eis(4, 1), 0),
+                                  Subst(Eis(4, 1), -1)])
+def test_nonpositive_scaling_is_a_value_error(tree):
+    # a zero scale fails as a negative one does, not by dividing by zero
+    with pytest.raises(ValueError, match="positive integer"):
+        evaluate(tree, 5)
 
 
 def test_syntax_errors_carry_position():
