@@ -12,7 +12,7 @@ from .dimensions import (
 from .eisenstein import eisenstein_series, sigma_power_sum, weight2_level_combo
 from .eta import EtaQuotient, eta_expand, eta_profile
 from .expr import expr_weight, render
-from .parse import parse_expr
+from .parse import parse_atom, parse_expr
 from .series import QSeries, first_mismatch
 from .weierstrass import TorsionPoint, wpa_expand
 
@@ -24,7 +24,7 @@ __all__ = [
     "dim_shift_report", "echelonize", "eisenstein_series", "eta_expand",
     "eta_profile", "evaluate", "expr_weight", "first_mismatch", "get_catalog",
     "ladder_dim_report", "level_profile", "m_basis", "named_forms",
-    "parse_expr", "render", "s_basis", "sigma_power_sum",
+    "parse_atom", "parse_expr", "render", "s_basis", "sigma_power_sum",
     "structure_decompose", "sturm_bound", "verify_membership",
     "weight2_level_combo", "wpa_expand",
 ]

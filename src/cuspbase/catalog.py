@@ -9,7 +9,7 @@ The evaluator turns any expression tree into an exact QSeries.
 
 Two seeds have no closed form stated over the available atoms (level 3 at
 weight 6, level 6 at weight 4); they are completed with the classical
-cuspidal eta products of those levels and flagged ``reconstructed``.
+cuspidal eta products of those levels, as the comments on those entries say.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .eisenstein import eisenstein_series, weight2_level_combo
 from .errors import UnsupportedLevel
 from .eta import EtaQuotient, eta_expand
 from .expr import (
-    Add, Const, Delta, Eis, Eta, Gen, Lit, Mul, Pow, Subst, W2, Wpa,
+    Add, Const, Delta, Eis, Gen, Lit, Mul, Pow, Subst, W2,
     add, eta, expr_weight, mul, neg, scaled, sub,
 )
 from .series import QSeries
@@ -43,12 +43,11 @@ class SpanAtom:
 
 @dataclass(frozen=True)
 class LevelCatalog:
-    delta: Eta
+    delta: EtaQuotient
     generators: dict            # (weight, index) -> expression
     span_atoms: tuple           # SpanAtom, ...
     seeds: tuple                # ladder seeds of one weight, valuations 1, 2, ...
     base_seed: object | None = None  # spans S below weight 2*k0 (level 7 only)
-    reconstructed: frozenset = frozenset()  # entries completed from outside atoms
     identities: tuple = ()      # (check id, lhs, rhs, weight), ...
     k0: int = field(init=False)  # half the seeds' weight: they build S_{2k}, k >= k0
 
@@ -78,7 +77,7 @@ def _build_catalogs():
 
     # -- level 2 ----------------------------------------------------------
     g2 = {
-        (2, 0): scaled(-3, 1, Wpa(2, 0, 2)),
+        (2, 0): scaled(-3, 1, TorsionPoint(2, 0, 2)),
         (4, 0): Pow(Gen(2, 2, 0), 2),
         (4, 1): Delta(2),
     }
@@ -97,6 +96,8 @@ def _build_catalogs():
     )
 
     # -- level 3 ----------------------------------------------------------
+    # reconstructed: the generator E2_3_0 (the weight-2 combination) and the
+    # seed F6_3_1 (the cuspidal eta product of the level)
     cats[3] = LevelCatalog(
         delta=eta((3, 18), (1, -6)), generators={(2, 0): W2(3)},
         span_atoms=(
@@ -105,7 +106,6 @@ def _build_catalogs():
             SpanAtom("delta_3", Delta(3), 2),
         ),
         seeds=(eta((1, 6), (3, 6)),),
-        reconstructed=frozenset({"E2_3_0", "F6_3_1"}),
     )
 
     # -- level 4 ----------------------------------------------------------
@@ -124,8 +124,8 @@ def _build_catalogs():
     )
 
     # -- level 5 ----------------------------------------------------------
-    w15, w25 = Wpa(2, 0, 5), Wpa(4, 0, 5)
-    half5, tau5 = Wpa(0, 1, 5), Wpa(5, 0, 5)
+    w15, w25 = TorsionPoint(2, 0, 5), TorsionPoint(4, 0, 5)
+    half5, tau5 = TorsionPoint(0, 1, 5), TorsionPoint(5, 0, 5)
     g5 = {
         (2, 0): scaled(-3, 2, add(w15, w25)),
         (4, 0): Pow(Gen(2, 5, 0), 2),
@@ -151,9 +151,10 @@ def _build_catalogs():
     )
 
     # -- level 6 ----------------------------------------------------------
+    # reconstructed: the seed F4_6_1 (the cuspidal eta product of the level)
     g6 = {
-        (2, 0): scaled(-3, 1, Wpa(2, 0, 2)),
-        (2, 1): scaled(-1, 4, sub(Wpa(2, 0, 2), Wpa(2, 0, 3))),
+        (2, 0): scaled(-3, 1, TorsionPoint(2, 0, 2)),
+        (2, 1): scaled(-1, 4, sub(TorsionPoint(2, 0, 2), TorsionPoint(2, 0, 3))),
         (2, 2): Delta(6),
     }
     cats[6] = LevelCatalog(
@@ -162,21 +163,20 @@ def _build_catalogs():
             SpanAtom(f"E2_6_{s}", Gen(2, 6, s), s) for s in (0, 1, 2)
         ),
         seeds=(eta((1, 2), (2, 2), (3, 2), (6, 2)),),
-        reconstructed=frozenset({"F4_6_1"}),
         identities=(
             ("identity:delta_6:weierstrass_sum", Delta(6),
              scaled(1, 48, add(
-                 scaled(3, 1, Wpa(2, 0, 2)),
-                 scaled(-8, 1, Wpa(2, 0, 3)),
-                 *[Wpa(2 * j, 0, 6) for j in range(1, 6)],
+                 scaled(3, 1, TorsionPoint(2, 0, 2)),
+                 scaled(-8, 1, TorsionPoint(2, 0, 3)),
+                 *[TorsionPoint(2 * j, 0, 6) for j in range(1, 6)],
              )), 2),
             ("identity:E2_6_0:lambert_combo", Gen(2, 6, 0), W2(2), 2),
         ),
     )
 
     # -- level 7 ----------------------------------------------------------
-    w17, w27, w37 = Wpa(2, 0, 7), Wpa(4, 0, 7), Wpa(6, 0, 7)
-    half7, tau7 = Wpa(0, 1, 7), Wpa(7, 0, 7)
+    w17, w27, w37 = (TorsionPoint(a, 0, 7) for a in (2, 4, 6))
+    half7, tau7 = TorsionPoint(0, 1, 7), TorsionPoint(7, 0, 7)
     sum7 = add(w17, w27, w37)
     g7 = {
         (2, 0): neg(sum7),
@@ -246,8 +246,8 @@ def _build_catalogs():
 
     # -- level 9 ----------------------------------------------------------
     g9 = {
-        (2, 0): scaled(-3, 1, Wpa(6, 0, 9)),
-        (2, 1): scaled(-1, 4, sub(Wpa(2, 0, 3), Wpa(6, 0, 9))),
+        (2, 0): scaled(-3, 1, TorsionPoint(6, 0, 9)),
+        (2, 1): scaled(-1, 4, sub(TorsionPoint(2, 0, 3), TorsionPoint(6, 0, 9))),
         (2, 2): Delta(9),
     }
     for s, prod in enumerate(_products_of_weight2(9)):
@@ -266,7 +266,8 @@ def _build_catalogs():
     )
 
     # -- level 10 ---------------------------------------------------------
-    w12, w1_5, w2_5, w5_10 = Wpa(2, 0, 2), Wpa(2, 0, 5), Wpa(4, 0, 5), Wpa(10, 0, 10)
+    w12, w5_10 = TorsionPoint(2, 0, 2), TorsionPoint(10, 0, 10)
+    w1_5, w2_5 = TorsionPoint(2, 0, 5), TorsionPoint(4, 0, 5)
     g10 = {
         (2, 0): scaled(-3, 1, w5_10),
         (2, 1): scaled(-1, 8, sub(w12, w5_10)),
@@ -350,26 +351,17 @@ def _eval(expr, prec):
 def _eval_uncached(expr, prec):
     if isinstance(expr, Const):
         return QSeries.make(0, [expr.value])
-    if isinstance(expr, Eta):
-        return eta_expand(expr.quotient(), prec)
+    if isinstance(expr, EtaQuotient):
+        return eta_expand(expr, prec)
     if isinstance(expr, Eis):
         inner = _inner_prec(prec, expr.scale)
         return eisenstein_series(expr.weight, inner).substitute_q_power(expr.scale)
     if isinstance(expr, W2):
         return weight2_level_combo(expr.level, prec)
-    if isinstance(expr, Wpa):
-        return wpa_expand(TorsionPoint(expr.a, expr.b, expr.level), prec)
-    if isinstance(expr, Gen):
-        cat = get_catalog(expr.level)
-        body = cat.generators.get((expr.weight, expr.index))
-        if body is None:
-            raise UnsupportedLevel(
-                f"no generator of weight {expr.weight}, index {expr.index} "
-                f"catalogued at level {expr.level}"
-            )
-        return _eval(body, prec)
-    if isinstance(expr, Delta):
-        return _eval(get_catalog(expr.level).delta, prec)
+    if isinstance(expr, TorsionPoint):
+        return wpa_expand(expr, prec)
+    if isinstance(expr, (Gen, Delta)):
+        return _eval(_catalogued(expr), prec)
     if isinstance(expr, Lit):
         return QSeries.make(expr.lead, list(expr.coeffs),
                             prec=expr.lead + len(expr.coeffs))
@@ -389,6 +381,20 @@ def _eval_uncached(expr, prec):
         inner = _inner_prec(prec, expr.d)
         return _eval(expr.child, inner).substitute_q_power(expr.d)
     raise TypeError(f"not a form expression: {expr!r}")
+
+
+def _catalogued(ref):
+    """The catalogued expression a Gen or Delta reference stands for."""
+    cat = get_catalog(ref.level)
+    if isinstance(ref, Delta):
+        return cat.delta
+    body = cat.generators.get((ref.weight, ref.index))
+    if body is None:
+        raise UnsupportedLevel(
+            f"no generator of weight {ref.weight}, index {ref.index} "
+            f"catalogued at level {ref.level}"
+        )
+    return body
 
 
 def _inner_prec(prec, d):
@@ -418,8 +424,8 @@ def eta_leaves():
     seen = {}
 
     def walk(name, node):
-        if isinstance(node, Eta):
-            seen.setdefault(node.terms, name)
+        if isinstance(node, EtaQuotient):
+            seen.setdefault(node, name)
         elif isinstance(node, Add):
             for t in node.terms:
                 walk(name, t)
@@ -433,14 +439,8 @@ def eta_leaves():
 
     for N in sorted(_CATALOGS):
         for name, form in named_forms(N).items():
-            if isinstance(form, (Gen, Delta)):
-                cat = get_catalog(N)
-                body = cat.delta if isinstance(form, Delta) \
-                    else cat.generators[(form.weight, form.index)]
-                walk(name, body)
-            else:
-                walk(name, form)
-    return [(name, EtaQuotient(terms)) for terms, name in sorted(seen.items())]
+            walk(name, _catalogued(form) if isinstance(form, (Gen, Delta)) else form)
+    return sorted(((name, q) for q, name in seen.items()), key=lambda nq: nq[1].terms)
 
 
 def catalog_identities(N):

@@ -2,8 +2,13 @@
 
 Output is byte-deterministic for fixed inputs; every dump starts with a
 format-version line.  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 internal invariant violation.  The environment variable
-CUSPBASE_PREC overrides the default precision policy.
+2 usage error (any ValueError), 3 internal invariant violation.  The
+environment variable CUSPBASE_PREC overrides the default precision policy.
+
+``expand --eta TEXT`` and ``expand --wpa TEXT`` take the argument text of an
+``eta(...)`` or ``wpa(...)`` atom and read it with the expression parser, so
+a malformed or out-of-range argument is echoed with a caret at its position,
+as for ``--expr``.
 """
 
 from __future__ import annotations
@@ -18,14 +23,11 @@ from .basis import m_basis, s_basis
 from .catalog import evaluate
 from .dimensions import SUPPORTED_LEVELS, default_prec, dim_cusp, dim_modular, \
     sturm_bound
-from .errors import (
-    CuspbaseError, ExprSyntaxError, FractionalValuation, LatticePoint,
-    OddWeight, UnknownAtom, UnsupportedLevel, WeightMismatch,
-)
-from .eta import EtaQuotient, eta_expand
-from .expr import _frac_str
-from .parse import parse_expr
-from .weierstrass import TorsionPoint, wpa_expand
+from .errors import CuspbaseError, ExprSyntaxError, UnsupportedLevel
+from .eta import eta_expand
+from .expr import _frac_str, render
+from .parse import parse_atom, parse_expr
+from .weierstrass import wpa_expand
 
 FORMAT_VERSION = "cuspbase.v1"
 
@@ -133,15 +135,13 @@ def cmd_expand(args, out):
     if prec < 1:
         raise ValueError("precision must be positive")
     if args.eta is not None:
-        series = eta_expand(EtaQuotient.parse(args.eta), prec)
+        # eta_expand, not evaluate: a half-integral weight still expands
+        series = eta_expand(parse_atom("eta", args.eta), prec)
         source = f"eta({args.eta.replace(' ', '')})"
     elif args.wpa is not None:
-        parts = args.wpa.split(",")
-        if len(parts) != 3:
-            raise ValueError("--wpa expects a,b,N")
-        a, b, N = (int(p) for p in parts)
-        series = wpa_expand(TorsionPoint(a, b, N), prec)
-        source = f"wpa({a},{b},{N})"
+        point = parse_atom("wpa", args.wpa)
+        series = wpa_expand(point, prec)
+        source = render(point)
     else:
         series = evaluate(parse_expr(args.expr), prec)
         source = args.expr
@@ -184,8 +184,12 @@ def build_parser():
     p.add_argument("--prec", type=int, default=None)
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
 
-    p = sub.add_parser("expand", help="expand an eta quotient, expression, "
-                                      "or Weierstrass value")
+    p = sub.add_parser(
+        "expand", help="expand an eta quotient, expression, or Weierstrass value",
+        description="--eta and --wpa take the argument text of an eta(...) or "
+                    "wpa(...) atom.  All three inputs are read by the expression "
+                    "parser: a malformed or out-of-range argument is echoed "
+                    "with a caret at its position.")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--eta", help='eta quotient as "m:r,m:r"')
     group.add_argument("--expr", help="catalogue expression")
@@ -211,11 +215,11 @@ def main(argv=None, out=None):
     }
     try:
         return handlers[args.command](args, out)
-    except (ValueError, ExprSyntaxError, UnknownAtom, UnsupportedLevel,
-            OddWeight, FractionalValuation, WeightMismatch, LatticePoint) as exc:
-        if isinstance(exc, ExprSyntaxError) and args.command == "expand" \
-                and args.expr is not None:
-            print(args.expr, file=sys.stderr)
+    except ValueError as exc:
+        if isinstance(exc, ExprSyntaxError):
+            # only expand parses text; echo whichever of its inputs was given
+            text = next(t for t in (args.expr, args.eta, args.wpa) if t is not None)
+            print(text, file=sys.stderr)
             print(" " * exc.position + "^", file=sys.stderr)
         print(f"cuspbase: error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,9 @@
-"""Exception hierarchy for cuspbase."""
+"""Exception hierarchy for cuspbase.
+
+Errors that bad input causes also subclass ValueError: the command line
+reports every ValueError as a usage error and any other CuspbaseError as an
+internal invariant violation.
+"""
 
 
 class CuspbaseError(Exception):
@@ -25,33 +30,33 @@ class ZeroWithinPrecision(CuspbaseError):
 
 # -- eta / weierstrass layer ------------------------------------------------
 
-class FractionalValuation(CuspbaseError):
+class FractionalValuation(CuspbaseError, ValueError):
     """Eta-quotient valuation has a denominator the grid cannot carry."""
 
 
-class LatticePoint(CuspbaseError):
+class LatticePoint(CuspbaseError, ValueError):
     """Weierstrass expansion requested at a lattice point (a pole)."""
 
 
 # -- dimensions / catalog ---------------------------------------------------
 
-class UnsupportedLevel(CuspbaseError):
+class UnsupportedLevel(CuspbaseError, ValueError):
     """Level outside the catalogued range 1..10."""
 
 
-class OddWeight(CuspbaseError):
+class OddWeight(CuspbaseError, ValueError):
     """Dimension formula requested at an odd or negative weight."""
 
 
-class WeightMismatch(CuspbaseError):
+class WeightMismatch(CuspbaseError, ValueError):
     """Expression tree mixes incompatible weights under a sum."""
 
 
-class UnknownAtom(CuspbaseError):
+class UnknownAtom(CuspbaseError, ValueError):
     """Expression references an atom name that is not registered."""
 
 
-class ExprSyntaxError(CuspbaseError):
+class ExprSyntaxError(CuspbaseError, ValueError):
     """Malformed expression text; carries the offending position."""
 
     def __init__(self, message, position):

@@ -61,23 +61,6 @@ class EtaQuotient:
     def render(self):
         return ",".join(f"{m}:{r}" for m, r in self.terms)
 
-    @classmethod
-    def parse(cls, text):
-        """Parse the "m:r,m:r" syntax; whitespace is ignored."""
-        compact = "".join(text.split())
-        if not compact:
-            return cls(())
-        pairs = []
-        for chunk in compact.split(","):
-            m, sep, r = chunk.partition(":")
-            if not sep:
-                raise ValueError(f"expected scale:exponent, got {chunk!r}")
-            try:
-                pairs.append((int(m), int(r)))
-            except ValueError:
-                raise ValueError(f"expected scale:exponent, got {chunk!r}") from None
-        return cls(pairs)
-
 
 def _euler_factor_list(m, rel):
     """Coefficients of prod_{k>=1} (1 - q^{mk}) below exponent rel.

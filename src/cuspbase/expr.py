@@ -1,8 +1,9 @@
 """Expression trees for catalogued modular forms.
 
-Leaves are eta quotients, Eisenstein atoms, weight-2 level combinations,
-Weierstrass torsion values, explicit truncated q-expansions, and references
-into the per-level catalogue (generators and the structuring delta form).
+Leaves are eta quotients (``EtaQuotient``), Eisenstein atoms, weight-2 level
+combinations, Weierstrass values at torsion points (``TorsionPoint``),
+explicit truncated q-expansions, and references into the per-level catalogue
+(generators and the structuring delta form).
 Internal nodes are sums, products, integer powers and the scaling map
 f(tau) -> f(d*tau).  Rational scalars are Const leaves of weight 0.
 
@@ -19,6 +20,7 @@ from fractions import Fraction
 from .dimensions import DELTA_DATA
 from .errors import UnsupportedLevel, WeightMismatch
 from .eta import EtaQuotient
+from .weierstrass import TorsionPoint
 
 
 @dataclass(frozen=True)
@@ -27,14 +29,6 @@ class Const:
 
     def __post_init__(self):
         object.__setattr__(self, "value", Fraction(self.value))
-
-
-@dataclass(frozen=True)
-class Eta:
-    terms: tuple  # ((scale, exponent), ...)
-
-    def quotient(self):
-        return EtaQuotient(self.terms)
 
 
 @dataclass(frozen=True)
@@ -47,15 +41,6 @@ class Eis:
 class W2:
     """The weight-2 combination (N E_2(N tau) - E_2(tau)) / (N - 1)."""
 
-    level: int
-
-
-@dataclass(frozen=True)
-class Wpa:
-    """Normalized Weierstrass value at z = (a tau + b)/2 on (1, N tau)."""
-
-    a: int
-    b: int
     level: int
 
 
@@ -116,14 +101,14 @@ def expr_weight(expr):
     """
     if isinstance(expr, Const):
         return 0 if expr.value != 0 else None
-    if isinstance(expr, Eta):
-        w = expr.quotient().weight
-        if not isinstance(w, int):
-            raise WeightMismatch(f"eta quotient {expr.terms} has half-integer weight {w}")
-        return w
+    if isinstance(expr, EtaQuotient):
+        if not isinstance(expr.weight, int):
+            raise WeightMismatch(
+                f"eta quotient {expr.terms} has half-integer weight {expr.weight}")
+        return expr.weight
     if isinstance(expr, Eis):
         return expr.weight
-    if isinstance(expr, (W2, Wpa)):
+    if isinstance(expr, (W2, TorsionPoint)):
         return 2
     if isinstance(expr, Gen):
         return expr.weight
@@ -164,7 +149,7 @@ def expr_weight(expr):
 # -- builders used by the catalogue and tests --------------------------------
 
 def eta(*pairs):
-    return Eta(tuple(pairs))
+    return EtaQuotient(pairs)
 
 
 def add(*terms):
@@ -219,13 +204,13 @@ def render(expr):
     """
     if isinstance(expr, Const):
         return _frac_str(expr.value)
-    if isinstance(expr, Eta):
-        return "eta(" + ",".join(f"{m}:{r}" for m, r in expr.terms) + ")"
+    if isinstance(expr, EtaQuotient):
+        return f"eta({expr.render()})"
     if isinstance(expr, Eis):
         return f"E{expr.weight}({expr.scale})"
     if isinstance(expr, W2):
         return f"Ew2({expr.level})"
-    if isinstance(expr, Wpa):
+    if isinstance(expr, TorsionPoint):
         return f"wpa({expr.a},{expr.b},{expr.level})"
     if isinstance(expr, Gen):
         return f"E[{expr.weight},{expr.level},{expr.index}]"

@@ -4,16 +4,22 @@ Atoms:  eta(m:r[,m:r]*)   E[w,N,s]   E4(d)  E6(d)  Ew2(N)
         wpa(a,b,N)        delta(N)   qser(v: c0,c1,...)
 Operators: + - * ^ with the usual precedences, parentheses, rational
 scalars p/q, and the postfix scaling f@d for f(d*tau).
+
+An eta atom parses to its EtaQuotient and a wpa atom to its TorsionPoint;
+E[w,N,s] must name a catalogued generator.  An atom whose arguments are
+rejected is reported at its first character.  parse_atom reads the argument
+text of one atom on its own, as the command line's --eta and --wpa do.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .catalog import _catalogued
 from .dimensions import DELTA_DATA
 from .errors import ExprSyntaxError, UnknownAtom
 from .eta import EtaQuotient
-from .expr import Add, Const, Delta, Eis, Eta, Gen, Lit, Mul, Pow, Subst, W2, Wpa
+from .expr import Add, Const, Delta, Eis, Gen, Lit, Mul, Pow, Subst, W2
 from .weierstrass import TorsionPoint
 
 _ATOM_NAMES = ("eta", "E4", "E6", "Ew2", "wpa", "delta", "qser")
@@ -62,7 +68,7 @@ class _Parser:
     def _valid_at(self, start, check, *args):
         """check(*args), with its ValueError raised as an error at start."""
         try:
-            check(*args)
+            return check(*args)
         except ValueError as exc:
             raise ExprSyntaxError(str(exc), start) from None
 
@@ -84,8 +90,9 @@ class _Parser:
 
     # -- grammar -----------------------------------------------------------
 
-    def parse(self):
-        node = self.expression()
+    def parse(self, rule):
+        """rule(), which must consume the whole text."""
+        node = rule()
         self._skip_ws()
         if self.pos != len(self.text):
             raise ExprSyntaxError("unexpected trailing input", self.pos)
@@ -151,6 +158,7 @@ class _Parser:
         if ch.isdigit():
             return Const(self._rational())
         if ch == "E" and self.pos + 1 < len(self.text) and self.text[self.pos + 1] == "[":
+            start = self.pos
             self.pos += 2
             w = self._int()
             self.expect(",")
@@ -158,7 +166,9 @@ class _Parser:
             self.expect(",")
             s = self._int()
             self.expect("]")
-            return Gen(w, n, s)
+            gen = Gen(w, n, s)
+            self._valid_at(start, _catalogued, gen)
+            return gen
         name, start = self._name()
         if not name:
             raise ExprSyntaxError("expected an atom, number or parenthesis", self.pos)
@@ -172,7 +182,8 @@ class _Parser:
     def _atom_body(self, name, start):
         if name == "eta":
             pairs = []
-            if self.peek() != ")":
+            # no factors: ")" ends them, or the end of parse_atom's text
+            if self.peek() not in (")", ""):
                 while True:
                     m = self._int()
                     self.expect(":")
@@ -181,8 +192,7 @@ class _Parser:
                     if self.peek() != ",":
                         break
                     self.pos += 1
-            self._valid_at(start, EtaQuotient, pairs)
-            return Eta(tuple(pairs))
+            return self._valid_at(start, EtaQuotient, pairs)
         if name in ("E4", "E6"):
             d = self._checked_int(lambda x: x > 0, "Eisenstein scale must be positive")
             return Eis(int(name[1]), d)
@@ -194,8 +204,7 @@ class _Parser:
             b = self._int()
             self.expect(",")
             n = self._int()
-            self._valid_at(start, TorsionPoint, a, b, n)
-            return Wpa(a, b, n)
+            return self._valid_at(start, TorsionPoint, a, b, n)
         if name == "delta":
             return Delta(self._checked_int(lambda x: x in DELTA_DATA,
                                            "no structuring form at that level"))
@@ -207,9 +216,18 @@ class _Parser:
                 self.pos += 1
                 coeffs.append(self._rational())
             return Lit(lead, tuple(coeffs))
-        raise UnknownAtom(f"unknown atom {name!r} at position {start}")
 
 
 def parse_expr(text):
     """Parse expression text into a form-expression tree."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    return parser.parse(parser.expression)
+
+
+def parse_atom(name, text):
+    """Parse the argument text of one atom: parse_atom("wpa", "2,0,5") is
+    parse_expr("wpa(2,0,5)"), with positions counted in ``text``."""
+    if name not in _ATOM_NAMES:
+        raise UnknownAtom(f"unknown atom {name!r}")
+    parser = _Parser(text)
+    return parser.parse(lambda: parser._atom_body(name, 0))

@@ -425,19 +425,8 @@ def _series(grid, lead, nums, prec, den=1):
 
 
 def first_mismatch(a, b):
-    """First exponent below the common frontier where two series differ.
-
-    Returns None when the series agree on every commonly known coefficient.
-    """
-    g = max(a.grid, b.grid)
-    ax, bx = a._upcast(g), b._upcast(g)
-    hi = _min_prec(ax.prec, bx.prec)
-    if hi is None:
-        hi = max(ax.lead + len(ax.nums), bx.lead + len(bx.nums))
-    lo = min(ax.lead, bx.lead)
-    for i in range(lo, hi):
-        ca = ax.nums[i - ax.lead] if ax.lead <= i < ax.lead + len(ax.nums) else 0
-        cb = bx.nums[i - bx.lead] if bx.lead <= i < bx.lead + len(bx.nums) else 0
-        if ca * bx.den != cb * ax.den:
-            return _from_index(i, g)
-    return None
+    """First exponent below the common frontier where two series differ: the
+    valuation of a - b, or None when they agree on every commonly known
+    coefficient."""
+    diff = a - b
+    return None if diff.is_zero else diff.valuation()

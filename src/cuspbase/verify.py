@@ -279,8 +279,7 @@ def check_basis_validity(N):
 def check_catalog_profile(N):
     """Structuring-form weight and valuation agree with the recorded profile."""
     rho, nu, _ = DELTA_DATA[N]
-    quotient = _catalog.get_catalog(N).delta.quotient()
-    w, v = eta_profile(quotient)
+    w, v = eta_profile(_catalog.get_catalog(N).delta)
     series = _catalog.evaluate(_catalog.get_catalog(N).delta, v + 8)
     ok = (w, v) == (rho, nu) and series.valuation() == v \
         and series.leading_coefficient() == 1

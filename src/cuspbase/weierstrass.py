@@ -24,7 +24,7 @@ from .series import QSeries
 
 @dataclass(frozen=True)
 class TorsionPoint:
-    """z = (a*tau + b)/2 on the lattice (1, N*tau); (a, b) != (0, 0)."""
+    """z = (a*tau + b)/2 on the lattice (1, N*tau), not a lattice point."""
 
     a: int
     b: int
@@ -37,15 +37,16 @@ class TorsionPoint:
             raise ValueError("b must be 0 or 1")
         if not 0 <= self.a <= 2 * self.level:
             raise ValueError(f"a must lie in [0, {2 * self.level}]")
-        if self.a == 0 and self.b == 0:
-            raise ValueError("(a, b) = (0, 0) is the lattice origin")
+        if self.a % (2 * self.level) == 0 and self.b == 0:
+            raise LatticePoint(f"z = {self.a // 2}*tau is a lattice point "
+                               f"for (1, {self.level}*tau)")
 
 
 def _add_lambert(acc, sign, e, scale):
-    # accumulate scale * sum_{m>=1} m (sign q^{e/g})^m onto acc (scaled slots)
+    # accumulate scale * sum_{m>=1} m (sign q^{e/g})^m onto acc (scaled slots);
+    # e = 0 only with sign -1 (a TorsionPoint is no lattice point), where the
+    # Abel sum of m (-1)^m is -1/4
     if e == 0:
-        if sign == 1:
-            raise LatticePoint("expansion degenerates at u = 1")
         acc[0] -= scale // 4
         return
     limit = len(acc)
@@ -61,8 +62,6 @@ def wpa_expand(point, prec):
     """Expansion of the normalized Weierstrass value at a torsion point."""
     N = point.level
     a, b = point.a, point.b
-    if a % (2 * N) == 0 and b == 0:
-        raise LatticePoint(f"z = {a // 2}*tau is a lattice point for (1, {N}*tau)")
     grid = 2 if a % 2 else 1
     frontier = Fraction(prec) * grid
     idx = frontier.numerator if frontier.denominator == 1 else int(frontier) + 1

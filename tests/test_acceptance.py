@@ -19,7 +19,7 @@ from cuspbase.dimensions import (
 )
 from cuspbase.eisenstein import weight2_level_combo
 from cuspbase.eta import eta_expand, eta_profile
-from cuspbase.expr import Pow, Wpa, scaled, sub
+from cuspbase.expr import Pow, scaled, sub
 from cuspbase.series import first_mismatch
 from cuspbase.verify import (
     PRINTED_SERIES, PRINTED_TABLES, check_printed_series,
@@ -52,7 +52,8 @@ def test_criterion_3_cross_representation_identities():
     # eta form of the level-5 structuring form vs the squared difference
     depth = 12
     squared = evaluate(
-        scaled(1, 16, Pow(sub(Wpa(2, 0, 5), Wpa(4, 0, 5)), 2)), depth)
+        scaled(1, 16, Pow(sub(TorsionPoint(2, 0, 5), TorsionPoint(4, 0, 5)), 2)),
+        depth)
     assert first_mismatch(squared, evaluate(get_catalog(5).delta, depth)) is None
     # the lambda-combination vs the torsion value at level 2
     combo = weight2_level_combo(2, 16)
@@ -64,7 +65,7 @@ def test_criterion_3_cross_representation_identities():
     # the level-2 seed in product form equals its eta form
     f82 = evaluate(get_catalog(2).seeds[0], 12)
     assert first_mismatch(f82, eta_expand(
-        get_catalog(2).delta.quotient() * _eta8(), 12)) is None
+        get_catalog(2).delta * _eta8(), 12)) is None
     # plus the rest of the catalogued identity corpus
     count = 4
     for n in range(1, 11):

@@ -366,8 +366,8 @@ def test_delta_multiplication_lands_above_valuation():
     # multiplying the cusp basis by the structuring form lands in the next
     # ladder space, above its valuation
     for n in (2, 5, 7):
-        rho, nu, k0 = (get_catalog(n).delta.quotient().weight,
-                       get_catalog(n).delta.quotient().valuation,
+        rho, nu, k0 = (get_catalog(n).delta.weight,
+                       get_catalog(n).delta.valuation,
                        get_catalog(n).k0)
         low = s_basis(n, k0)
         high = s_basis(n, k0 + rho // 2)

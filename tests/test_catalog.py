@@ -25,7 +25,7 @@ def test_unsupported_level():
 
 def test_delta_profiles_match_catalog():
     for n, (rho, nu, _) in DELTA_DATA.items():
-        assert eta_profile(get_catalog(n).delta.quotient()) == (rho, nu)
+        assert eta_profile(get_catalog(n).delta) == (rho, nu)
 
 
 def test_generators_unitary_with_valuation_index():
@@ -104,7 +104,7 @@ def test_eta_leaves_inventory():
     quotients = set(q for _, q in eta_leaves())
     # every structuring form appears among the catalogue's eta leaves
     for n in range(1, 11):
-        assert get_catalog(n).delta.quotient() in quotients
+        assert get_catalog(n).delta in quotients
     assert len(leaves) == len(eta_leaves())
 
 

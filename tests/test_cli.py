@@ -2,6 +2,7 @@
 
 import io
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -121,6 +122,12 @@ def test_prec_zero_is_a_usage_error(argv, capsys):
     ("2*wpa(1,2,3)", 2),
     ("eta(0:1)", 0),
     ("eta(1:1,1:2)", 0),
+    # generator references are checked against the catalogue at the E
+    ("E[2,4,7]", 0),
+    ("E[2,11,0]", 0),
+    # a lattice point is rejected by its TorsionPoint
+    ("wpa(2,0,1)", 0),
+    ("wpa(4,0,2)", 0),
 ])
 def test_bad_number_is_a_positioned_usage_error(expr, caret, capsys):
     code, text = run_cli(["expand", "--expr", expr, "--prec", "3"])
@@ -145,8 +152,34 @@ def test_lattice_point_is_a_usage_error(argv, capsys):
     # z = 2*tau is a lattice point for (1, 2*tau): the user typed it
     code, text = run_cli(["expand", *argv, "--prec", "3"])
     assert code == 2 and text == ""
-    err = capsys.readouterr().err
-    assert err.startswith("cuspbase: error:") and "LatticePoint" not in err
+    err = capsys.readouterr().err.splitlines()
+    assert err[:2] == [argv[1], "^"]
+    assert err[2].startswith("cuspbase: error:") and "LatticePoint" not in err[2]
+
+
+@pytest.mark.parametrize("option, text, caret", [
+    ("--eta", "2:16,2:-8", 0),   # duplicate scale, at the atom
+    ("--eta", "2:16,x", 5),
+    ("--wpa", "1,0", 3),         # a missing argument, at the end
+    ("--wpa", "2,0,5,1", 5),     # trailing input
+])
+def test_eta_and_wpa_errors_are_positioned(option, text, caret, capsys):
+    code, out = run_cli(["expand", option, text, "--prec", "3"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert err[:2] == [text, " " * caret + "^"]
+    assert err[2].startswith("cuspbase: error:")
+    assert err[2].endswith(f"(at position {caret})")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", "eta() = 1 + O(q^3)"),
+    (" 2 : 16 , 1 : -8 ", "eta(2:16,1:-8) = q + 8*q^2 + O(q^3)"),
+])
+def test_eta_text_with_spaces_or_no_factors_expands(text, line):
+    code, out = run_cli(["expand", "--eta", text, "--prec", "3"])
+    assert code == 0
+    assert out.splitlines()[1] == line
 
 
 def test_expand_eta():
@@ -226,21 +259,22 @@ def test_env_precision_override(monkeypatch):
     assert code == 2
 
 
-# the command-line examples of the README, in order
-README_EXAMPLES = [
-    ["dims", "--level", "all", "--weights", "2..16"],
-    ["basis", "--level", "7", "--weight", "6", "--space", "cusp"],
-    ["basis", "--level", "10", "--weight", "8", "--format", "jsonl"],
-    ["expand", "--eta", "2:16,1:-8", "--prec", "12"],
-    ["expand", "--expr", "E[2,4,0]*E[2,4,1]*(E[2,4,0]+16*E[2,4,1])", "--prec", "11"],
-    ["expand", "--wpa", "2,0,5", "--prec", "8"],
-]
+def readme_examples():
+    """The argument lists of the ``cuspbase`` lines in the README's command
+    block, in order, leaving out ``verify`` (CI runs it as a step of its own)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("\n```", 1)[0].splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("cuspbase ") and not line.startswith("cuspbase verify")]
 
 
 def test_readme_examples_print_the_recorded_bytes():
     # tests/data/readme_examples.out is their stdout, also diffed in CI
+    examples = readme_examples()
+    assert len(examples) == 6
     out = io.StringIO()
-    for argv in README_EXAMPLES:
+    for argv in examples:
         assert main(argv, out=out) == 0
     recorded = Path(__file__).parent / "data" / "readme_examples.out"
     assert out.getvalue() == recorded.read_text()

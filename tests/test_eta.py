@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import naive_eta_product_part, series_coeffs
 from cuspbase.catalog import eta_leaves
-from cuspbase.errors import FractionalValuation
+from cuspbase.errors import ExprSyntaxError, FractionalValuation
 from cuspbase.eta import EtaQuotient, eta_expand, eta_profile
+from cuspbase.parse import parse_atom
 
 
 def test_published_expansions():
@@ -126,10 +127,10 @@ def test_expansion_matches_naive_product(quotient, offset):
 
 
 def test_parse_and_render():
-    q = EtaQuotient.parse(" 2:16 , 1:-8 ")
+    q = parse_atom("eta", " 2:16 , 1:-8 ")
     assert q == EtaQuotient({2: 16, 1: -8})
-    assert EtaQuotient.parse(q.render()) == q
-    with pytest.raises(ValueError):
-        EtaQuotient.parse("2:16,2:-8")
-    with pytest.raises(ValueError):
-        EtaQuotient.parse("2-16")
+    assert parse_atom("eta", q.render()) == q
+    with pytest.raises(ExprSyntaxError):
+        parse_atom("eta", "2:16,2:-8")
+    with pytest.raises(ExprSyntaxError):
+        parse_atom("eta", "2-16")

@@ -12,20 +12,22 @@ from cuspbase.catalog import (
 from cuspbase.errors import (
     ExprSyntaxError, UnknownAtom, UnsupportedLevel, WeightMismatch,
 )
+from cuspbase.eta import EtaQuotient
 from cuspbase.expr import (
-    Add, Const, Delta, Eis, Eta, Gen, Lit, Mul, Pow, Subst, W2, Wpa,
+    Add, Const, Delta, Eis, Gen, Lit, Mul, Pow, Subst, W2,
     add, expr_weight, mul, neg, render, scaled, sub,
 )
 from cuspbase.parse import parse_expr
+from cuspbase.weierstrass import TorsionPoint
 
 
 def test_parse_atoms():
-    assert parse_expr("eta(2:16,1:-8)") == Eta(((2, 16), (1, -8)))
+    assert parse_expr("eta(2:16,1:-8)") == EtaQuotient({2: 16, 1: -8})
     assert parse_expr("E[2,4,0]") == Gen(2, 4, 0)
     assert parse_expr("E4(3)") == Eis(4, 3)
     assert parse_expr("E6(1)") == Eis(6, 1)
     assert parse_expr("Ew2(6)") == W2(6)
-    assert parse_expr("wpa(2,0,5)") == Wpa(2, 0, 5)
+    assert parse_expr("wpa(2,0,5)") == TorsionPoint(2, 0, 5)
     assert parse_expr("delta(7)") == Delta(7)
     assert parse_expr("qser(1: 1,-8,12)") == Lit(1, (Fraction(1), Fraction(-8),
                                                      Fraction(12)))
@@ -37,15 +39,15 @@ def test_parse_structure():
     e0, e1 = Gen(2, 4, 0), Gen(2, 4, 1)
     assert tree == Mul((e0, e1, Add((e0, Mul((Const(Fraction(16)), e1))))))
     diff = parse_expr("wpa(2,0,5)-wpa(4,0,5)")
-    assert diff == Add((Wpa(2, 0, 5),
-                        Mul((Const(Fraction(-1)), Wpa(4, 0, 5)))))
+    assert diff == Add((TorsionPoint(2, 0, 5),
+                        Mul((Const(Fraction(-1)), TorsionPoint(4, 0, 5)))))
     assert parse_expr("delta(4)@2") == Subst(Delta(4), 2)
     assert parse_expr("E[2,7,0]^3") == Pow(Gen(2, 7, 0), 3)
 
 
 def test_round_trip():
     for text in (
-        "eta(2:16,1:-8)",
+        "eta(1:-8,2:16)",
         "E[2,4,0]*E[2,4,1]*(E[2,4,0]+16*E[2,4,1])",
         "wpa(2,0,5)-wpa(4,0,5)",
         "delta(4)@2",
@@ -57,6 +59,8 @@ def test_round_trip():
         rendered = render(tree)
         assert rendered.replace(" ", "") == text.replace(" ", "")
         assert parse_expr(rendered) == tree
+    # an eta quotient is a multiset of factors: the typed order is not kept
+    assert parse_expr("eta(2:16,1:-8)") == parse_expr("eta(1:-8,2:16)")
 
 
 def catalogue_expressions():
@@ -76,7 +80,7 @@ def test_render_round_trips_every_catalogue_expression():
 
 
 def test_render_keeps_signs_and_nesting():
-    x, y = Wpa(2, 0, 5), Wpa(4, 0, 5)
+    x, y = TorsionPoint(2, 0, 5), TorsionPoint(4, 0, 5)
     assert render(Mul((Const(-1), x, y))) == "-wpa(2,0,5)*wpa(4,0,5)"
     assert render(scaled(-1, 128, mul(x, y))) == "-1/128*(wpa(2,0,5)*wpa(4,0,5))"
     assert render(add(x, add(x, y))) == "wpa(2,0,5)+(wpa(2,0,5)+wpa(4,0,5))"
@@ -90,7 +94,7 @@ def test_render_keeps_signs_and_nesting():
 # leaves by weight: scalars, then cheap weight-2 and weight-4 atoms
 LEAVES = {
     0: [Const(2), Const(-1), Const(Fraction(-3, 4)), Const(Fraction(5, 3))],
-    2: [Wpa(2, 0, 5), W2(3), Gen(2, 4, 1), Wpa(1, 1, 4)],
+    2: [TorsionPoint(2, 0, 5), W2(3), Gen(2, 4, 1), TorsionPoint(1, 1, 4)],
     4: [Eis(4, 1), Eis(4, 2), Delta(2), Gen(4, 5, 1)],
 }
 

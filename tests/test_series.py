@@ -192,6 +192,16 @@ def assert_canonical(s):
     assert [c for _, c in s.items()] == [s.coeff(e) for e, _ in s.items()]
 
 
+def naive_first_mismatch(a, b):
+    """first_mismatch by a scan: the lowest exponent below both frontiers
+    where the known coefficients differ."""
+    ca, cb = dict(a.items()), dict(b.items())
+    fronts = [s.prec_exponent for s in (a, b) if s.prec is not None]
+    return next((e for e in sorted(ca.keys() | cb.keys())
+                 if ca.get(e, 0) != cb.get(e, 0)
+                 and all(e < f for f in fronts)), None)
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(rational_series(), rational_series(), rational_series(),
        st.fractions(-20, 20, max_denominator=12))
@@ -201,6 +211,9 @@ def test_ring_axioms_and_canonical_form(a, b, c, r):
     # frontiers may differ between the sides; known coefficients agree
     assert first_mismatch(a * (b + c), a * b + a * c) is None
     assert first_mismatch((a * b) * c, a * (b * c)) is None
+    for x, y in ((a, b), (a, a + c), (a * (b + c), a * b + c)):
+        m, n = first_mismatch(x, y), naive_first_mismatch(x, y)
+        assert m == n and type(m) is type(n)
     assert (a - a).is_zero and a - a == a.scale(0)
     assert a.scale(r) == a * QSeries.make(0, [r])
     # one value, one form: equal values built by different routes
