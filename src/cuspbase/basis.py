@@ -4,9 +4,9 @@ Bases are canonical *reduced* echelon forms: elements are unitary, their
 valuations strictly increase, and every element has coefficient zero at the
 pivot exponent of every other element.  The reduced basis depends only on
 the span, which makes the outputs deterministic and re-echelonization a
-no-op.  Its pivots sit below the Sturm floor, so one basis per (space, N, k)
-is kept, at the highest precision built so far, and lower precisions are
-served by truncating it.
+no-op.  Its pivots sit below the Sturm floor, so the package memo's one rule
+applies: one basis per (space, N, k) is kept, at the highest precision built
+so far, and lower precisions are served by truncating it.
 
 Full spaces take one atom monomial per valuation 0..d-1, d = dim M_{2k}.
 The catalogued atoms are unitary of declared valuation, so these d rows are

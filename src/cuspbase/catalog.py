@@ -321,8 +321,9 @@ def get_catalog(N):
 
 # -- evaluation ---------------------------------------------------------------
 
-# The package's one memo: evaluate keys it on (expr, prec), the basis
-# builders on (space, N, k).
+# The package's one memo, with one rule: one entry per expression (evaluate)
+# or per (space, N, k) (the basis builders), kept at the highest precision
+# built; a lower request is served by truncating it.
 MEMO = {}
 
 
@@ -339,12 +340,22 @@ def evaluate(expr, prec):
 
 
 def _eval(expr, prec):
-    key = (expr, prec)
-    hit = MEMO.get(key)
+    """expr below exponent prec, from its one memo entry (kept_prec, series).
+
+    More precision only adds coefficients, so a lower request truncates the
+    kept series (an exact one serves every precision) and a higher one
+    re-evaluates and replaces it.  The requested precision is kept beside
+    the series: an exact series has no frontier, and a Lit's is its length.
+    """
+    hit = MEMO.get(expr)
     if hit is not None:
-        return hit
+        kept, series = hit
+        if prec == kept or series.prec is None:
+            return series
+        if prec < kept:
+            return series.truncate(prec)
     out = _eval_uncached(expr, prec)
-    MEMO[key] = out
+    MEMO[expr] = (prec, out)
     return out
 
 

@@ -137,7 +137,7 @@ def cmd_expand(args, out):
     if args.eta is not None:
         # eta_expand, not evaluate: a half-integral weight still expands
         series = eta_expand(parse_atom("eta", args.eta), prec)
-        source = f"eta({args.eta.replace(' ', '')})"
+        source = f"eta({''.join(args.eta.split())})"
     elif args.wpa is not None:
         point = parse_atom("wpa", args.wpa)
         series = wpa_expand(point, prec)

@@ -104,7 +104,7 @@ def expr_weight(expr):
     if isinstance(expr, EtaQuotient):
         if not isinstance(expr.weight, int):
             raise WeightMismatch(
-                f"eta quotient {expr.terms} has half-integer weight {expr.weight}")
+                f"eta quotient {render(expr)} has half-integer weight {expr.weight}")
         return expr.weight
     if isinstance(expr, Eis):
         return expr.weight

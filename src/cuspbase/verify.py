@@ -237,12 +237,16 @@ def check_delta_multiplication(N, k_max=10):
 
 
 def check_decompositions(N):
+    # downward in k: a decomposition asks for the lower cusp bases at more
+    # coefficients than their own checks do, so each is built at its
+    # highest precision first
     bad = []
-    for k in range(2, 13):
+    for k in range(12, 1, -1):
         report = structure_decompose(N, k)
         if not report.basis_matches:
             bad.append((k, report.total, report.expected, report.basis_matches))
     if bad:
+        bad.reverse()
         return CheckResult(f"structure:decompose:N={N}", False, f"failures: {bad}")
     return CheckResult(f"structure:decompose:N={N}", True,
                        "dimension sums match for k <= 12 "
@@ -342,12 +346,14 @@ def reference_checks(N):
 
 
 def structure_checks(N):
+    # decompositions first: they ask for the highest precisions
+    decompositions = check_decompositions(N)
     return [
         check_dim_shift(N),
         check_ladder_dims(N),
         check_seed_valuation_law(N),
         check_basis_validity(N),
-        check_decompositions(N),
+        decompositions,
         check_delta_multiplication(N),
     ]
 

@@ -175,11 +175,22 @@ def test_eta_and_wpa_errors_are_positioned(option, text, caret, capsys):
 @pytest.mark.parametrize("text, line", [
     ("", "eta() = 1 + O(q^3)"),
     (" 2 : 16 , 1 : -8 ", "eta(2:16,1:-8) = q + 8*q^2 + O(q^3)"),
+    # every whitespace the parser skips leaves the source text, so the
+    # record stays on one line
+    ("2:16,\t1:-8", "eta(2:16,1:-8) = q + 8*q^2 + O(q^3)"),
+    ("2:16,\n1:-8\n", "eta(2:16,1:-8) = q + 8*q^2 + O(q^3)"),
 ])
 def test_eta_text_with_spaces_or_no_factors_expands(text, line):
     code, out = run_cli(["expand", "--eta", text, "--prec", "3"])
     assert code == 0
-    assert out.splitlines()[1] == line
+    assert out.splitlines() == ["# cuspbase.v1 series prec=3", line]
+
+
+def test_half_integer_weight_names_the_quotient(capsys):
+    code, out = run_cli(["expand", "--expr", "eta(12:1)", "--prec", "3"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "cuspbase: error: eta quotient eta(12:1) has half-integer weight 1/2\n")
 
 
 def test_expand_eta():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import series_coeffs
 from cuspbase.catalog import (
-    catalog_identities, clear_caches, evaluate, get_catalog, named_forms,
+    MEMO, catalog_identities, clear_caches, evaluate, get_catalog, named_forms,
 )
 from cuspbase.errors import (
     ExprSyntaxError, UnknownAtom, UnsupportedLevel, WeightMismatch,
@@ -139,12 +139,23 @@ def wrapped_trees(draw):
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(wrapped_trees(), st.integers(1, 8), st.integers(1, 8))
-def test_more_precision_only_adds_coefficients(tree, lo, extra):
+@given(wrapped_trees(), st.integers(1, 8), st.integers(1, 8), st.randoms())
+def test_more_precision_only_adds_coefficients(tree, lo, extra, rnd):
     clear_caches()
     high = evaluate(tree, lo + extra)
     clear_caches()
-    assert high.truncate(lo) == evaluate(tree, lo)
+    cold = evaluate(tree, lo)
+    assert high.truncate(lo) == cold
+    # warm: the memo holds every subtree at lo + extra and serves lo from it
+    clear_caches()
+    evaluate(tree, lo + extra)
+    assert evaluate(tree, lo) == cold
+    # partly warm: the dropped subtrees are rebuilt from truncated children
+    clear_caches()
+    evaluate(tree, lo + extra)
+    for key in [k for k in MEMO if rnd.random() < 0.5]:
+        del MEMO[key]
+    assert evaluate(tree, lo) == cold
 
 
 @pytest.mark.parametrize("tree", [Eis(4, 0), Subst(Eis(4, 1), 0),

@@ -1,8 +1,14 @@
 """The certification suite runner and its individual checks."""
 
+from collections import Counter
+
+from cuspbase import basis
+from cuspbase.basis import DecompositionReport
+from cuspbase.catalog import clear_caches
 from cuspbase.verify import (
-    check_delta_multiplication, check_identity, check_ladder_offsets_level7,
-    check_printed_series, check_seed_alt_reading, reference_checks, run_suite,
+    check_decompositions, check_delta_multiplication, check_identity,
+    check_ladder_offsets_level7, check_printed_series, check_seed_alt_reading,
+    reference_checks, run_suite,
 )
 from cuspbase.expr import Delta, eta
 
@@ -56,3 +62,27 @@ def test_delta_multiplication_check():
 def test_structure_suite_sampled():
     results, ok = run_suite(levels=[4], suite="structure")
     assert ok, [r.detail for r in results if not r.ok]
+
+
+def test_suite_builds_each_basis_once(monkeypatch):
+    # each (space, N, k) is first asked for at its highest precision, so
+    # the memo serves every later request by truncation
+    builds = Counter()
+    for name in ("_m_basis_build", "_s_basis_build"):
+        def counted(N, k, prec, _build=getattr(basis, name), _name=name):
+            builds[_name, N, k] += 1
+            return _build(N, k, prec)
+        monkeypatch.setattr(basis, name, counted)
+    clear_caches()
+    _, ok = run_suite([10])
+    assert ok
+    assert len(builds) == 25 and set(builds.values()) == {1}
+
+
+def test_decomposition_failures_are_listed_by_ascending_k(monkeypatch):
+    def decompose(N, k):
+        return DecompositionReport(N, k, 0, k, (), k, k, k not in (3, 7))
+    monkeypatch.setattr("cuspbase.verify.structure_decompose", decompose)
+    result = check_decompositions(4)
+    assert not result.ok
+    assert result.detail == "failures: [(3, 3, 3, False), (7, 7, 7, False)]"
