@@ -11,18 +11,23 @@ so far, and lower precisions are served by truncating it.
 Full spaces take one atom monomial per valuation 0..d-1, d = dim M_{2k}.
 The catalogued atoms are unitary of declared valuation, so these d rows are
 unitary with distinct valuations: triangular, hence independent, hence a
-basis of M_{2k}.
+basis of M_{2k}.  Each monomial is a product of atom powers, and each power
+is the evaluator's memo entry for it, shared by every weight at the level.
 
 Cuspidal spaces are built by one ladder rung per level, read from the
 catalogue: for every k >= k0, all seeds but the last are lifted by
 E2^(k-k0), and the last multiplies the full basis of weight 2(k-k0).
-Below the start k0, a space is zero or spanned by the base seed.
+Below the start k0, a space is zero or spanned by the base seed.  The lift
+E2^(k-k0) and the delta powers of the structure decomposition are memo
+entries too.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 from .catalog import MEMO, evaluate, get_catalog
@@ -34,7 +39,7 @@ from .errors import (
     LadderConditionFailed, NotInSpan, OffGrid, PrecisionExceeded,
     RankDeficient, RankExcess, UnsupportedLevel,
 )
-from .expr import Gen, expr_weight
+from .expr import Gen, expr_weight, power
 from .series import QSeries, _from_index, _min_prec, _ratio
 
 
@@ -206,21 +211,11 @@ def _m_basis_build(N, k, prec):
     chosen = [by_valuation[v] for v in range(expected) if v in by_valuation]
     if len(chosen) < expected:
         raise IncompleteSpan(N, 2 * k, len(chosen), expected)
-    powers = []
-    for atom, top in zip(atoms, map(max, zip(*chosen))):
-        row = [QSeries.one()]
-        if top:
-            series = evaluate(atom.expr, prec)
-            for _ in range(top):
-                row.append(row[-1] * series)
-        powers.append(row)
     rows = []
     for vec in chosen:
-        prod = QSeries.one()
-        for row, e in zip(powers, vec):
-            if e:
-                prod = prod * row[e]
-        rows.append(prod)
+        factors = [evaluate(power(atom.expr, e), prec)
+                   for atom, e in zip(atoms, vec) if e]
+        rows.append(reduce(operator.mul, factors) if factors else QSeries.one())
     try:
         return echelonize(rows, expected, prec, level=N, weight=2 * k)
     except RankDeficient as exc:
@@ -271,7 +266,7 @@ def _s_basis_build(N, k, prec):
     series = [evaluate(s, prec) for s in seeds]
     rows = [series[-1] * e for e in m_basis(N, k - k0, prec).elements]
     if lifted:
-        lift = evaluate(Gen(2, N, 0), prec) ** (k - k0)
+        lift = evaluate(power(Gen(2, N, 0), k - k0), prec)
         rows = [f * lift for f in series[:-1]] + rows
     return echelonize(rows, expected, prec, level=N, weight=2 * k, space="cusp")
 
@@ -357,13 +352,12 @@ def structure_decompose(N, k):
             f"dimension formula says {expected}"
         )
     target = default_prec(N, 2 * k)
-    delta = evaluate(get_catalog(N).delta, target)
+    delta = get_catalog(N).delta
     rows = []
-    for n in range(q):
+    for n in range(q + 1):
         low = s_basis(N, k - n * half, target - n * nu)
-        rows.extend((delta ** n) * e for e in low.elements[:nu])
-    base = s_basis(N, r, target - q * nu)
-    rows.extend((delta ** q) * e for e in base.elements)
+        lift = evaluate(power(delta, n), target)
+        rows.extend(lift * e for e in (low.elements[:nu] if n < q else low.elements))
     rebuilt = echelonize(rows, expected, target, level=N, weight=2 * k,
                          space="cusp")
     canonical = s_basis(N, k, target)

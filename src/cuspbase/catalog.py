@@ -21,7 +21,7 @@ from .errors import UnsupportedLevel
 from .eta import EtaQuotient, eta_expand
 from .expr import (
     Add, Const, Delta, Eis, Gen, Lit, Mul, Pow, Subst, W2,
-    add, eta, expr_weight, mul, neg, scaled, sub,
+    add, eta, expr_weight, mul, neg, power, scaled, sub,
 )
 from .series import QSeries
 from .weierstrass import TorsionPoint, wpa_expand
@@ -323,7 +323,9 @@ def get_catalog(N):
 
 # The package's one memo, with one rule: one entry per expression (evaluate)
 # or per (space, N, k) (the basis builders), kept at the highest precision
-# built; a lower request is served by truncating it.
+# built; a lower request is served by truncating it.  A power Pow(f, e) is
+# an expression with its own entry, evaluated by halving through the memo,
+# so all the powers of one form share their products.
 MEMO = {}
 
 
@@ -346,6 +348,9 @@ def _eval(expr, prec):
     kept series (an exact one serves every precision) and a higher one
     re-evaluates and replaces it.  The requested precision is kept beside
     the series: an exact series has no frontier, and a Lit's is its length.
+    A power f^e (e >= 2) is one product of memo entries, the square of
+    f^(e/2) or f^(e-1) times f, so a run of powers 1..e costs one product
+    each and a single cold power about log2(e).
     """
     hit = MEMO.get(expr)
     if hit is not None:
@@ -387,7 +392,13 @@ def _eval_uncached(expr, prec):
             out = out * _eval(f, prec)
         return out
     if isinstance(expr, Pow):
-        return _eval(expr.base, prec) ** expr.exponent
+        base, e = expr.base, expr.exponent
+        if e < 2:
+            return _eval(base, prec) ** e
+        if e % 2:
+            return _eval(Pow(base, e - 1), prec) * _eval(base, prec)
+        half = _eval(power(base, e // 2), prec)
+        return half * half
     if isinstance(expr, Subst):
         inner = _inner_prec(prec, expr.d)
         return _eval(expr.child, inner).substitute_q_power(expr.d)

@@ -172,6 +172,11 @@ def neg(child):
     return Mul((Const(Fraction(-1)), child))
 
 
+def power(base, e):
+    """base^e, and base itself when e == 1, so one form has one memo key."""
+    return base if e == 1 else Pow(base, e)
+
+
 # -- rendering ---------------------------------------------------------------
 
 def _frac_str(f):

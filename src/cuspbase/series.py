@@ -28,6 +28,8 @@ from .errors import NotAUnit, OffGrid, PrecisionExceeded, ZeroWithinPrecision
 
 
 def _to_index(e, grid):
+    if type(e) is int:
+        return e * grid
     f = Fraction(e) * grid
     if f.denominator != 1:
         raise OffGrid(f"exponent {e} is not on the 1/{grid} grid")
@@ -35,6 +37,8 @@ def _to_index(e, grid):
 
 
 def _from_index(i, grid):
+    if grid == 1:
+        return i
     f = Fraction(i, grid)
     return f.numerator if f.denominator == 1 else f
 

@@ -158,6 +158,24 @@ def test_more_precision_only_adds_coefficients(tree, lo, extra, rnd):
     assert evaluate(tree, lo) == cold
 
 
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from([0, 2, 4]).flatmap(trees), st.integers(0, 8),
+       st.integers(1, 8), st.integers(1, 8), st.integers(0, 8))
+def test_a_power_by_halving_equals_repeated_products(tree, e, prec, extra, top):
+    clear_caches()
+    base = evaluate(tree, prec)
+    expected = (base ** e).truncate(prec)
+    clear_caches()
+    assert evaluate(Pow(tree, e), prec) == expected
+    # warm: powers kept at a higher precision serve this one by truncation.
+    # That holds for a base of nonnegative valuation, as every tree drawn
+    # here is; below zero a warm frontier may pass the cold one.
+    assert base.is_zero or base.valuation() >= 0
+    clear_caches()
+    evaluate(Pow(tree, top), prec + extra)
+    assert evaluate(Pow(tree, e), prec) == expected
+
+
 @pytest.mark.parametrize("tree", [Eis(4, 0), Subst(Eis(4, 1), 0),
                                   Subst(Eis(4, 1), -1)])
 def test_nonpositive_scaling_is_a_value_error(tree):

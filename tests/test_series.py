@@ -12,7 +12,7 @@ from cuspbase.errors import (
     NotAUnit, OffGrid, PrecisionExceeded, ZeroWithinPrecision,
 )
 from cuspbase.eta import EtaQuotient, _euler_factor_list, eta_expand
-from cuspbase.series import QSeries, first_mismatch
+from cuspbase.series import QSeries, _from_index, _to_index, first_mismatch
 
 
 def rand_series(rng, grid=1, max_lead=3, length=6):
@@ -51,6 +51,24 @@ def test_coeff_errors():
         s.coeff(Fraction(1, 2))
     with pytest.raises(OffGrid):
         s.coeff(Fraction(1, 3))
+
+
+def test_index_conversions_keep_values_and_types():
+    # exponent <-> slot on each grid: an index is always an int, an exponent
+    # an int when whole and a Fraction otherwise, whichever path computes it
+    for grid in (1, 2):
+        for e in (0, 3, -2, Fraction(6, 2), Fraction(-4)):
+            i = _to_index(e, grid)
+            assert type(i) is int and i == e * grid
+            back = _from_index(i, grid)
+            assert type(back) is int and back == e
+    for e in (Fraction(1, 2), Fraction(-7, 2)):
+        i = _to_index(e, 2)
+        assert type(i) is int and i == 2 * e
+        back = _from_index(i, 2)
+        assert type(back) is Fraction and back == e
+        with pytest.raises(OffGrid):
+            _to_index(e, 1)
 
 
 def test_mul_published_example():

@@ -1,6 +1,9 @@
 """The certification suite runner and its individual checks."""
 
+import sys
 from collections import Counter
+
+import pytest
 
 from cuspbase import basis
 from cuspbase.basis import DecompositionReport
@@ -11,6 +14,7 @@ from cuspbase.verify import (
     reference_checks, run_suite,
 )
 from cuspbase.expr import Delta, eta
+from cuspbase.series import QSeries
 
 
 def test_reference_suite_all_levels_green():
@@ -77,6 +81,24 @@ def test_suite_builds_each_basis_once(monkeypatch):
     _, ok = run_suite([10])
     assert ok
     assert len(builds) == 25 and set(builds.values()) == {1}
+
+
+@pytest.mark.parametrize("level", [1, 7, 10])
+def test_suite_takes_every_power_of_a_form_from_the_memo(monkeypatch, level):
+    # a form's power is a memo entry made by halving, so a series power of
+    # exponent 2 or more is left only inside eta_expand, whose Euler
+    # factors are not forms
+    calls = []
+
+    def counted(self, n, _pow=QSeries.__pow__):
+        calls.append((sys._getframe(1).f_globals["__name__"], n))
+        return _pow(self, n)
+
+    monkeypatch.setattr(QSeries, "__pow__", counted)
+    clear_caches()
+    _, ok = run_suite([level], "all")
+    assert ok
+    assert {module for module, n in calls if n >= 2} <= {"cuspbase.eta"}
 
 
 def test_decomposition_failures_are_listed_by_ascending_k(monkeypatch):
