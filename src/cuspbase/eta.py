@@ -89,10 +89,12 @@ def eta_profile(e):
 def eta_expand(e, prec):
     """Expand an eta quotient to an exact QSeries below exponent prec.
 
-    Each scale's Euler product is written down from the pentagonal number
-    theorem, raised to |r_m| by repeated squaring, and inverted once when
-    r_m is negative; all of it stays in integer arithmetic.  At or below the
-    valuation the expansion is 0 + O(q^prec).
+    The product part is needed below rel = prec - valuation.  Scale m works
+    on its own n = ceil(rel/m) slots: prod_k (1 - q^k) is written down there
+    from the pentagonal number theorem, inverted while it is still sparse
+    when r_m is negative, raised to |r_m| by repeated squaring, and only
+    then read at q^m by substitution.  All of it stays in integer
+    arithmetic.  At or below the valuation the expansion is 0 + O(q^prec).
     """
     v = Fraction(e.valuation)
     if v.denominator == 1:
@@ -111,9 +113,11 @@ def eta_expand(e, prec):
     rel = int(rel_f) if rel_f.denominator == 1 else int(rel_f) + 1
     prod = QSeries.one(prec=rel)
     for m, r in e.terms:
-        base = QSeries(1, 0, _euler_factor_list(m, rel), rel)
-        powed = base ** abs(r)
+        # prod_k (1 - q^k) below q^n, with n * m >= rel: read at q^m it
+        # covers every exponent below rel
+        n = -(-rel // m)
+        f = QSeries(1, 0, _euler_factor_list(1, n), n)
         if r < 0:
-            powed = powed.invert()
-        prod = prod * powed
+            f = f.invert()
+        prod = prod * (f ** abs(r)).substitute_q_power(m)
     return (QSeries.monomial(v) * prod).truncate(prec)

@@ -131,13 +131,9 @@ def expr_weight(expr):
                 raise WeightMismatch(f"sum mixes weights {agreed} and {w}")
         return agreed
     if isinstance(expr, Mul):
-        total = 0
-        for f in expr.factors:
-            w = expr_weight(f)
-            if w is None:
-                return None
-            total += w
-        return total
+        # every factor is checked, also after a weightless one
+        weights = [expr_weight(f) for f in expr.factors]
+        return None if None in weights else sum(weights)
     if isinstance(expr, Pow):
         w = expr_weight(expr.base)
         return None if w is None else w * expr.exponent

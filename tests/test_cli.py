@@ -147,6 +147,16 @@ def test_weight_mismatch_is_a_usage_error(expr, capsys):
     assert err.startswith("cuspbase: error:") and "WeightMismatch" not in err
 
 
+def test_weight_mismatch_after_a_weightless_factor_is_found(capsys):
+    # a qser literal has no weight, and the factors after it are still checked
+    errors = []
+    for expr in ("qser(0: 1)*(E4(1)+E6(1))", "(E4(1)+E6(1))*qser(0: 1)"):
+        code, text = run_cli(["expand", "--expr", expr, "--prec", "5"])
+        assert code == 2 and text == ""
+        errors.append(capsys.readouterr().err)
+    assert errors == ["cuspbase: error: sum mixes weights 4 and 6\n"] * 2
+
+
 @pytest.mark.parametrize("argv", [["--wpa", "4,0,2"], ["--expr", "wpa(4,0,2)"]])
 def test_lattice_point_is_a_usage_error(argv, capsys):
     # z = 2*tau is a lattice point for (1, 2*tau): the user typed it

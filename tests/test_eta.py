@@ -97,6 +97,21 @@ def test_naive_oracle_agreement_small():
         assert [s.coeff(v + i) for i in range(depth)] == oracle
 
 
+def test_each_scale_at_its_slot_boundaries():
+    # scale m expands prod (1 - q^k) on ceil(rel/m) slots before reading it
+    # at q^m; a request rel = j*m - 1, j*m or j*m + 1 past the valuation
+    # sits on either side of a slot boundary
+    for _, quotient in eta_leaves():
+        v = quotient.valuation
+        for m, _ in quotient.terms:
+            for j in range(1, 5):
+                for rel in (j * m - 1, j * m, j * m + 1):
+                    s = eta_expand(quotient, v + rel)
+                    assert s.prec_exponent == v + rel
+                    oracle = naive_eta_product_part(quotient.terms, rel) if rel else []
+                    assert [s.coeff(v + i) for i in range(rel)] == oracle
+
+
 @st.composite
 def quotients(draw):
     """Scales 1..12, exponents -30..30; the scale-1 exponent puts sum m*r_m

@@ -272,6 +272,36 @@ def test_invert_times_self_is_one(grid, unit, tail, prec, exact):
 
 
 @st.composite
+def sparse_units(draw):
+    """A unit on either grid that is mostly zero: up to 6 nonzero slots among
+    the first 300, a constant term +-1 or another, over a denominator 1 or
+    another, with a frontier of up to 300 slots."""
+    grid = draw(st.sampled_from([1, 2]))
+    unit = draw(st.sampled_from([1, -1]) | st.integers(-12, 12).filter(bool))
+    tail = draw(st.dictionaries(st.integers(1, 299), st.integers(-99, 99),
+                                max_size=6))
+    nums = [0] * (max(tail, default=0) + 1)
+    nums[0] = unit
+    for i, c in tail.items():
+        nums[i] = c
+    den = draw(st.sampled_from([1, 1, 2, 6, 35]))
+    prec = draw(st.integers(1, 300 // grid))
+    return QSeries(grid, 0, nums, prec * grid, den), prec
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(sparse_units())
+def test_invert_of_a_sparse_unit(drawn):
+    # the recurrence runs over the nonzero slots only: the reciprocal must
+    # still be exact, and integral for an integral unit with constant +-1
+    f, prec = drawn
+    inv = f.invert()
+    assert f * inv == QSeries.one(prec)
+    if f.den == 1 and f.nums[0] in (1, -1):
+        assert inv.den == 1
+
+
+@st.composite
 def int_factors(draw):
     """(grid, lead, run, prec) of an integer series as drawn: 1..200 slots,
     dense or mostly zero, coefficients up to 4, 64 or 300 bits, a nonzero
