@@ -346,8 +346,12 @@ def _eval(expr, prec):
 
     More precision only adds coefficients, so a lower request truncates the
     kept series (an exact one serves every precision) and a higher one
-    re-evaluates and replaces it.  The requested precision is kept beside
-    the series: an exact series has no frontier, and a Lit's is its length.
+    re-evaluates and replaces it.  A cold evaluation is cut to the request
+    the same way (a Lit keeps its length and a scaled atom rounds its
+    frontier up, so either may pass it), which makes a warm and a cold
+    answer agree.  The requested precision is kept beside the series: an
+    exact series has no frontier, and a frontier may fall short of the
+    request.
     A power f^e (e >= 2) is one product of memo entries, the square of
     f^(e/2) or f^(e-1) times f, so a run of powers 1..e costs one product
     each and a single cold power about log2(e).
@@ -360,6 +364,8 @@ def _eval(expr, prec):
         if prec < kept:
             return series.truncate(prec)
     out = _eval_uncached(expr, prec)
+    if out.prec is not None:
+        out = out.truncate(prec)
     MEMO[expr] = (prec, out)
     return out
 
@@ -388,21 +394,45 @@ def _eval_uncached(expr, prec):
         return out
     if isinstance(expr, Mul):
         out = QSeries.one()
-        for f in expr.factors:
-            out = out * _eval(f, prec)
+        for s in _factors(expr.factors, prec):
+            out = out * s
         return out
     if isinstance(expr, Pow):
         base, e = expr.base, expr.exponent
         if e < 2:
             return _eval(base, prec) ** e
         if e % 2:
-            return _eval(Pow(base, e - 1), prec) * _eval(base, prec)
-        half = _eval(power(base, e // 2), prec)
-        return half * half
+            a, b = _factors((Pow(base, e - 1), base), prec)
+            return a * b
+        half = power(base, e // 2)
+        a, b = _factors((half, half), prec)
+        return a * b  # one series twice: a square
     if isinstance(expr, Subst):
         inner = _inner_prec(prec, expr.d)
         return _eval(expr.child, inner).substitute_q_power(expr.d)
     raise TypeError(f"not a form expression: {expr!r}")
+
+
+def _factors(exprs, prec):
+    """The series of a product's factors, each known far enough for the
+    product to reach prec.
+
+    A product's frontier is each factor's frontier shifted by the others'
+    valuations, so a partner of negative valuation leaves a factor evaluated
+    at prec short of it.  Such a factor is evaluated again at prec less its
+    partners' valuations; then every product node reaches its request
+    unless a Lit stops it, and a warm answer equals a cold one.
+    """
+    parts = [_eval(f, prec) for f in exprs]
+    # valuations in half exponents; one zero within precision has its
+    # frontier as lead
+    leads = [s.lead * (2 // s.grid) for s in parts]
+    total = sum(leads)
+    for i, v in enumerate(leads):
+        partners = total - v
+        if partners < 0:
+            parts[i] = _eval(exprs[i], prec + (1 - partners) // 2)
+    return parts
 
 
 def _catalogued(ref):

@@ -14,38 +14,41 @@ from fractions import Fraction
 from .series import QSeries
 
 
+def _divisor_power_sums(prec, k):
+    """[sigma_k(n) for n < prec] (0 at n = 0), by one sieve: each d adds d^k
+    at its multiples."""
+    s = [0] * max(prec, 1)
+    for d in range(1, prec):
+        s[d::d] = map((d ** k).__add__, s[d::d])
+    return s
+
+
 def sigma_power_sum(n, k):
-    """Sum of k-th powers of the divisors of n, by direct enumeration."""
+    """Sum of k-th powers of the divisors of n."""
     if n < 1:
         raise ValueError("divisor sums need n >= 1")
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d ** k
-            e = n // d
-            if e != d:
-                total += e ** k
-        d += 1
-    return total
+    return _divisor_power_sums(n + 1, k)[n]
+
+
+def _sigma_series(scale, k, prec):
+    # 1 + scale * sum sigma_k(n) q^n below q^prec
+    coeffs = [scale * c for c in _divisor_power_sums(prec, k)]
+    coeffs[0] = 1
+    return QSeries(1, 0, coeffs, prec)
 
 
 def eisenstein_series(weight, prec):
     """E_4 or E_6 truncated below exponent prec."""
     if weight == 4:
-        scale, power = 240, 3
-    elif weight == 6:
-        scale, power = -504, 5
-    else:
-        raise ValueError(f"only weights 4 and 6 are provided, got {weight}")
-    coeffs = [1] + [scale * sigma_power_sum(n, power) for n in range(1, prec)]
-    return QSeries(1, 0, coeffs, prec)
+        return _sigma_series(240, 3, prec)
+    if weight == 6:
+        return _sigma_series(-504, 5, prec)
+    raise ValueError(f"only weights 4 and 6 are provided, got {weight}")
 
 
 def _e2(prec):
     # quasi-modular; never exposed as a basis atom
-    coeffs = [1] + [-24 * sigma_power_sum(n, 1) for n in range(1, prec)]
-    return QSeries(1, 0, coeffs, prec)
+    return _sigma_series(-24, 1, prec)
 
 
 def weight2_level_combo(N, prec):

@@ -15,7 +15,10 @@ out, a coefficient is an int when integral, else a ``fractions.Fraction``.
 A product is computed only below its frontier.  When the shorter known run
 has at least ``_KRONECKER_MIN`` slots, it is one big-integer product by
 Kronecker substitution (D. Harvey, arXiv:0712.4046); any other product is a
-schoolbook convolution.  Both give the same numerators.
+schoolbook convolution.  Both give the same numerators.  The Kronecker
+product packs each run in one pass, biasing every slot by half its range so
+that each coefficient takes one ``to_bytes`` call, and a square packs its
+one run once and squares the integer.
 """
 
 from __future__ import annotations
@@ -51,38 +54,41 @@ def _ratio(n, d):
     return n // d if n % d == 0 else Fraction(n, d)
 
 
-# shorter run length from which a product is a Kronecker product; on the
-# products the benchmark workloads make, the schoolbook loop is faster below
-# ~24 slots and the two break even at 24-31
-_KRONECKER_MIN = 32
+# shorter run length from which a product is a Kronecker product; replaying
+# every product of one pass of the benchmark workloads through both kernels,
+# the schoolbook loop is faster below 8 slots, the two tie at 8-15 and the
+# Kronecker product is faster from 16 on
+_KRONECKER_MIN = 16
 
 
 def _kronecker(a, b, length):
     """First ``length`` coefficients of the product of two int runs.
 
     Kronecker substitution: each run becomes one integer with a fixed-width
-    little-endian byte slot per coefficient (positive and negative parts
-    packed apart), one big-integer product does the convolution, and a bias
-    of half a slot per slot makes every product coefficient a nonnegative
-    slot value to read back.
+    little-endian byte slot per coefficient, one big-integer product does the
+    convolution, and the product's slots are read back.  Every slot holds its
+    value plus half a slot, so that it is nonnegative: a run is packed in one
+    pass and the integer of those biases is subtracted once, and the product
+    gets them added before it is read.  A square (``b is a``) packs its one
+    run once and squares the integer.
     """
     # no product coefficient exceeds bound in size: a slot of w bytes holds
     # it with the sign bit to spare
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     w = (bound.bit_length() + 8) // 8
-    zero = bytes(w)
+    half = 1 << (8 * w - 1)
+    slot = half.to_bytes(w, "little")
+    from_bytes = int.from_bytes
 
     def pack(run):
-        pos = b"".join(c.to_bytes(w, "little") if c > 0 else zero for c in run)
-        neg = b"".join((-c).to_bytes(w, "little") if c < 0 else zero for c in run)
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        data = b"".join([(c + half).to_bytes(w, "little") for c in run])
+        return from_bytes(data, "little") - from_bytes(slot * len(run), "little")
 
-    half = 1 << (8 * w - 1)
-    bias = int.from_bytes(half.to_bytes(w, "little") * length, "little")
-    low = (pack(a) * pack(b) + bias) & ((1 << (8 * w * length)) - 1)
+    pa = pack(a)
+    product = pa * pa if b is a else pa * pack(b)
+    low = (product + from_bytes(slot * length, "little")) & ((1 << (8 * w * length)) - 1)
     data = low.to_bytes(w * length, "little")
-    return [int.from_bytes(data[i:i + w], "little") - half
-            for i in range(0, w * length, w)]
+    return [from_bytes(data[i:i + w], "little") - half for i in range(0, w * length, w)]
 
 
 def _min_prec(p, q):
@@ -300,7 +306,10 @@ class QSeries:
             length = len(a.nums) + len(b.nums) - 1
         else:
             length = min(len(a.nums) + len(b.nums) - 1, prec - lead)
-        ac, bc = a.nums[:length], b.nums[:length]
+        # a square (self * self, on either grid: a factor on its own grid is
+        # not upcast) hands the kernel one run, which it packs once
+        ac = a.nums[:length]
+        bc = ac if b is a else b.nums[:length]
         if min(len(ac), len(bc)) >= _KRONECKER_MIN:
             return _series(g, lead, _kronecker(ac, bc, length), prec, den)
         out = [0] * length
@@ -381,8 +390,9 @@ class QSeries:
     def truncate(self, prec):
         """Lower the precision frontier to the given exponent."""
         prec_idx = _to_index(prec, self.grid)
-        new = _min_prec(self.prec, prec_idx)
-        return _series(self.grid, self.lead, self.nums, new, self.den)
+        if self.prec is not None and self.prec <= prec_idx:
+            return self
+        return _series(self.grid, self.lead, self.nums, prec_idx, self.den)
 
     # -- comparison / display ---------------------------------------------
 

@@ -99,14 +99,23 @@ LEAVES = {
 }
 
 
+# LEAVES and eta quotients of valuation -1: a product with one of these
+# must raise its partners' precision to reach its own
+BELOW_ZERO_LEAVES = {
+    0: LEAVES[0] + [EtaQuotient({1: 24, 2: -24})],
+    2: LEAVES[2] + [EtaQuotient({1: 8, 2: 8, 4: -12})],
+    4: LEAVES[4],
+}
+
+
 @st.composite
-def trees(draw, weight, depth=3):
+def trees(draw, weight, depth=3, leaves=LEAVES):
     """Expression trees of the given weight built with the catalogue's
     builders, with negative and fractional scalars at every depth."""
     op = draw(st.sampled_from(["leaf", "add", "mul", "scaled", "sub", "neg"]))
     if depth == 0 or op == "leaf":
-        return draw(st.sampled_from(LEAVES[weight]))
-    child = trees(weight, depth - 1)
+        return draw(st.sampled_from(leaves[weight]))
+    child = trees(weight, depth - 1, leaves)
     if op == "add":
         return add(*draw(st.lists(child, min_size=2, max_size=3)))
     if op == "sub":
@@ -117,7 +126,8 @@ def trees(draw, weight, depth=3):
         p = draw(st.integers(-9, 9).filter(bool))
         return scaled(p, draw(st.integers(1, 5)), draw(child))
     left = draw(st.sampled_from(range(0, weight + 1, 2)))
-    return mul(draw(trees(left, depth - 1)), draw(trees(weight - left, depth - 1)))
+    return mul(draw(trees(left, depth - 1, leaves)),
+               draw(trees(weight - left, depth - 1, leaves)))
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -128,8 +138,10 @@ def test_render_round_trip_keeps_the_value(tree, prec):
 
 @st.composite
 def wrapped_trees(draw):
-    """trees(), bare or under a power 0..3 or a scaling by 1..4."""
-    tree = draw(st.sampled_from([0, 2, 4]).flatmap(trees))
+    """trees() over BELOW_ZERO_LEAVES, bare or under a power 0..3 or a
+    scaling by 1..4."""
+    weight = draw(st.sampled_from([0, 2, 4]))
+    tree = draw(trees(weight, leaves=BELOW_ZERO_LEAVES))
     wrap = draw(st.sampled_from(["bare", "pow", "subst"]))
     if wrap == "pow":
         return Pow(tree, draw(st.integers(0, 3)))
@@ -141,6 +153,8 @@ def wrapped_trees(draw):
 @settings(max_examples=200, deadline=None, database=None)
 @given(wrapped_trees(), st.integers(1, 8), st.integers(1, 8), st.randoms())
 def test_more_precision_only_adds_coefficients(tree, lo, extra, rnd):
+    # factors of negative valuation included: every frontier reaches the
+    # request, so cold, warm and partly warm answers are one series
     clear_caches()
     high = evaluate(tree, lo + extra)
     clear_caches()
@@ -158,6 +172,21 @@ def test_more_precision_only_adds_coefficients(tree, lo, extra, rnd):
     assert evaluate(tree, lo) == cold
 
 
+def test_a_factor_below_zero_gives_the_same_answer_warm_and_cold():
+    # the Lit is evaluated at two precisions in one pass (bare and under @2)
+    # and the eta quotient has valuation -1
+    tree = parse_expr("eta(1:-24)*qser(0: 1,2,3,4,5,6,7,8,9)"
+                      "*qser(0: 1,2,3,4,5,6,7,8,9)@2")
+    want = ["q^-1 + 26", "377*q", "3976*q^2", "33876*q^3"]
+    for prec in range(1, 5):
+        expected = " + ".join(want[:prec]) + f" + O(q^{prec})"
+        clear_caches()
+        assert evaluate(tree, prec).to_str() == expected
+        clear_caches()
+        evaluate(tree, 13)
+        assert evaluate(tree, prec).to_str() == expected
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.sampled_from([0, 2, 4]).flatmap(trees), st.integers(0, 8),
        st.integers(1, 8), st.integers(1, 8), st.integers(0, 8))
@@ -168,8 +197,8 @@ def test_a_power_by_halving_equals_repeated_products(tree, e, prec, extra, top):
     clear_caches()
     assert evaluate(Pow(tree, e), prec) == expected
     # warm: powers kept at a higher precision serve this one by truncation.
-    # That holds for a base of nonnegative valuation, as every tree drawn
-    # here is; below zero a warm frontier may pass the cold one.
+    # The trees drawn here have nonnegative valuation: below zero, `expected`,
+    # a power of the base known to prec, would fall short of prec.
     assert base.is_zero or base.valuation() >= 0
     clear_caches()
     evaluate(Pow(tree, top), prec + extra)

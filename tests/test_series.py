@@ -12,7 +12,9 @@ from cuspbase.errors import (
     NotAUnit, OffGrid, PrecisionExceeded, ZeroWithinPrecision,
 )
 from cuspbase.eta import EtaQuotient, _euler_factor_list, eta_expand
-from cuspbase.series import QSeries, _from_index, _to_index, first_mismatch
+from cuspbase.series import (
+    _KRONECKER_MIN, QSeries, _from_index, _to_index, first_mismatch,
+)
 
 
 def rand_series(rng, grid=1, max_lead=3, length=6):
@@ -349,6 +351,54 @@ def test_integer_product_matches_schoolbook(fa, fb):
     product = a * b
     assert product == QSeries(g, la + lb, naive_convolve(known_a, known_b, upto), prec)
     assert product.den == 1
+
+
+@st.composite
+def kernel_factors(draw, grid, n):
+    """(lead, run, prec) of an integer factor of n slots on the grid: mixed
+    signs, or every slot one extreme value M or -M, so that a product
+    coefficient reaches the kernel's width bound M^2 * (shorter length);
+    M is a power of two or one less, so the bound's bit length falls on
+    every residue mod 8, a byte boundary among them.  The frontier is none, or lies at
+    or past the run's end, so the run is kept whole but the product may be
+    cut short."""
+    lead = draw(st.integers(0, 3)) * grid + grid - 1  # odd on the half grid
+    bits = draw(st.integers(1, 72) | st.just(200))
+    m = 2 ** bits - draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        run = [draw(st.sampled_from([m, -m]))] * n
+    else:
+        run = draw(st.lists(st.integers(-m, m), min_size=n, max_size=n))
+        run[0], run[-1] = m, -m
+    prec = draw(st.none() | st.integers(lead + n, lead + n + 40))
+    return lead, run, prec
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data(), st.sampled_from([1, 2]),
+       st.sampled_from([_KRONECKER_MIN - 1, _KRONECKER_MIN, _KRONECKER_MIN + 1]),
+       st.integers(0, 40))
+def test_product_kernels_match_naive_convolution(data, grid, short, extra):
+    # shorter runs on both sides of the Kronecker threshold, the longer run
+    # up to 40 slots more
+    fa = data.draw(kernel_factors(grid, short))
+    fb = data.draw(kernel_factors(grid, short + extra))
+    if data.draw(st.booleans()):
+        fa, fb = fb, fa
+    a, b = QSeries(grid, *fa), QSeries(grid, *fb)
+    (la, ra, pa), (lb, rb, pb) = fa, fb
+    fronts = [p + l for p, l in ((pa, lb), (pb, la)) if p is not None]
+    prec = min(fronts) if fronts else None
+    upto = len(ra) + len(rb) - 1 if prec is None else prec - la - lb
+    assert min(len(a.nums), len(b.nums)) == short
+    assert a * b == QSeries(grid, la + lb, naive_convolve(ra, rb, upto), prec)
+    # a square hands the kernel one run: equal to the product with a copy
+    copy = QSeries(grid, *fa)
+    assert copy is not a and copy == a
+    upto = 2 * len(ra) - 1 if pa is None else pa - la
+    square = QSeries(grid, 2 * la, naive_convolve(ra, ra, upto),
+                     None if pa is None else pa + la)
+    assert a * a == a * copy == square
 
 
 @settings(max_examples=60, deadline=None, database=None)
