@@ -14,7 +14,9 @@ cuspidal eta products of those levels, as the comments on those entries say.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .eisenstein import eisenstein_series, weight2_level_combo
 from .errors import UnsupportedLevel
@@ -393,10 +395,8 @@ def _eval_uncached(expr, prec):
             out = out + _eval(t, prec)
         return out
     if isinstance(expr, Mul):
-        out = QSeries.one()
-        for s in _factors(expr.factors, prec):
-            out = out * s
-        return out
+        parts = _factors(expr.factors, prec)
+        return reduce(operator.mul, parts) if parts else QSeries.one()
     if isinstance(expr, Pow):
         base, e = expr.base, expr.exponent
         if e < 2:

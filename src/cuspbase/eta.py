@@ -3,11 +3,22 @@
 An eta quotient expands to q^(sum m*r_m / 24) * prod_m prod_{k>=1}
 (1 - q^{mk})^{r_m}.  The weight is (1/2) sum r_m and the valuation at
 infinity is (1/24) sum m*r_m; both are plain arithmetic on the exponents.
+
+The expansion goes through the primitive quotient.  With g the gcd of the
+scales and d the gcd of the exponents, the product part is P(q^g)^d, where
+P = prod_m prod_k (1 - q^{k m/g})^{r_m/d}.  P is expanded first and raised
+to d last.  Its scale factors carry exponents d times smaller, so the
+intermediates are about as wide as the answer's coefficients, not as wide
+as a scale factor raised to its full exponent, where the scales have not
+yet cancelled: for delta_2 = eta(2)^16/eta(1)^8 = (eta(2)^2/eta(1))^8 at
+720 coefficients, prod (1 - q^k)^-8 alone has 251-bit coefficients where
+the answer has none above 29 bits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import FractionalValuation
 from .series import QSeries
@@ -89,12 +100,17 @@ def eta_profile(e):
 def eta_expand(e, prec):
     """Expand an eta quotient to an exact QSeries below exponent prec.
 
-    The product part is needed below rel = prec - valuation.  Scale m works
-    on its own n = ceil(rel/m) slots: prod_k (1 - q^k) is written down there
-    from the pentagonal number theorem, inverted while it is still sparse
-    when r_m is negative, raised to |r_m| by repeated squaring, and only
-    then read at q^m by substitution.  All of it stays in integer
-    arithmetic.  At or below the valuation the expansion is 0 + O(q^prec).
+    The product part is needed below rel = prec - valuation.  It is read
+    off the primitive quotient P (see the module docstring): P is needed
+    below n = ceil(rel/g), and each of its scales m' = m/g works on its own
+    ceil(n/m') slots, where prod_k (1 - q^k) is written down from the
+    pentagonal number theorem, inverted while it is still sparse when r_m
+    is negative, raised to |r_m/d| by repeated squaring, and only then read
+    at q^m' by substitution.  The product of the scales is raised to d and
+    read at q^g.  Raising P, not each scale factor, to d keeps every
+    intermediate no wider than the powers of P on the way to the answer.
+    All of it stays in integer arithmetic.  The empty quotient is
+    1 + O(q^prec); at or below the valuation the expansion is 0 + O(q^prec).
     """
     v = Fraction(e.valuation)
     if v.denominator == 1:
@@ -108,16 +124,24 @@ def eta_expand(e, prec):
         )
     if Fraction(prec) <= v:
         return QSeries.zero(prec, grid)
+    if not e.terms:
+        return QSeries.one(prec)
     # the product part has integer exponents; needed below prec - v
     rel_f = Fraction(prec) - v
     rel = int(rel_f) if rel_f.denominator == 1 else int(rel_f) + 1
-    prod = QSeries.one(prec=rel)
+    g = gcd(*(m for m, _ in e.terms))
+    d = gcd(*(r for _, r in e.terms))
+    n = -(-rel // g)
+    prim = None
     for m, r in e.terms:
-        # prod_k (1 - q^k) below q^n, with n * m >= rel: read at q^m it
-        # covers every exponent below rel
-        n = -(-rel // m)
-        f = QSeries(1, 0, _euler_factor_list(1, n), n)
+        m //= g
+        # prod_k (1 - q^k) below q^nm, with nm * m >= n: read at q^m it
+        # covers every exponent of P below n
+        nm = -(-n // m)
+        f = QSeries(1, 0, _euler_factor_list(1, nm), nm)
         if r < 0:
             f = f.invert()
-        prod = prod * (f ** abs(r)).substitute_q_power(m)
+        f = (f ** abs(r // d)).substitute_q_power(m)
+        prim = f if prim is None else prim * f
+    prod = (prim.truncate(n) ** d).substitute_q_power(g)
     return (QSeries.monomial(v) * prod).truncate(prec)

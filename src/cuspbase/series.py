@@ -328,15 +328,17 @@ class QSeries:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = QSeries.one()
+        # the result starts at its first factor: a product by QSeries.one()
+        # would be a schoolbook pass over that factor's whole run
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return QSeries.one() if result is None else result
 
     def invert(self, prec=None):
         """Reciprocal series; requires valuation zero.

@@ -98,18 +98,31 @@ def test_naive_oracle_agreement_small():
 
 
 def test_each_scale_at_its_slot_boundaries():
-    # scale m expands prod (1 - q^k) on ceil(rel/m) slots before reading it
-    # at q^m; a request rel = j*m - 1, j*m or j*m + 1 past the valuation
-    # sits on either side of a slot boundary
+    # the primitive quotient is built on ceil(rel/g) slots, g the gcd of the
+    # scales, and each of its scales expands prod (1 - q^k) on ceil(rel/m)
+    # slots before reading it at q^m; a request rel = j*m - 1, j*m or
+    # j*m + 1 past the valuation sits on either side of a slot boundary, and
+    # so does one at j*g - 1, j*g or j*g + 1
     for _, quotient in eta_leaves():
         v = quotient.valuation
-        for m, _ in quotient.terms:
+        scales = {m for m, _ in quotient.terms}
+        for m in sorted(scales | {math.gcd(*scales)}):
             for j in range(1, 5):
                 for rel in (j * m - 1, j * m, j * m + 1):
                     s = eta_expand(quotient, v + rel)
                     assert s.prec_exponent == v + rel
                     oracle = naive_eta_product_part(quotient.terms, rel) if rel else []
                     assert [s.coeff(v + i) for i in range(rel)] == oracle
+
+
+def _assert_matches_naive(quotient, prec):
+    v = Fraction(quotient.valuation)
+    s = eta_expand(quotient, prec)
+    assert s.prec_exponent == prec
+    depth = max(math.ceil(prec - v), 0)
+    oracle = naive_eta_product_part(quotient.terms, depth) if depth else []
+    assert s.items() == [(v + i, c) for i, c in enumerate(oracle) if c]
+    assert all(type(c) is int for _, c in s.items())
 
 
 @st.composite
@@ -133,12 +146,55 @@ def test_expansion_matches_naive_product(quotient, offset):
         with pytest.raises(FractionalValuation):
             eta_expand(quotient, prec)
         return
-    s = eta_expand(quotient, prec)
-    assert s.prec_exponent == prec
-    depth = max(math.ceil(prec - v), 0)
-    oracle = naive_eta_product_part(quotient.terms, depth) if depth else []
-    assert s.items() == [(v + i, c) for i, c in enumerate(oracle) if c]
-    assert all(type(c) is int for _, c in s.items())
+    _assert_matches_naive(quotient, prec)
+
+
+@st.composite
+def scaled_quotients(draw):
+    """A quotient on scales 1..4 with exponents -4..4, then its exponents
+    times d and its scales times g: the expansion reads it as the primitive
+    quotient raised to d (or a multiple of d) at q^g.  The scale-1 exponent
+    puts 24 * valuation in the drawn class mod 24, integral or half-integral,
+    when d*g lets it."""
+    d = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 24]))
+    g = draw(st.sampled_from([1, 2, 3]))
+    base = draw(st.dictionaries(st.integers(2, 4), st.integers(-4, 4), max_size=2))
+    residue = draw(st.sampled_from([0, 12]))
+    weighted = sum(m * r for m, r in base.items())
+    fits = sorted((r for r in range(-12, 12)
+                   if d * g * (weighted + r) % 24 == residue), key=abs)
+    if not fits:
+        fits = sorted((r for r in range(-12, 12)
+                       if d * g * (weighted + r) % 24 == 0), key=abs)
+    base[1] = draw(st.sampled_from(fits[:2]))
+    return EtaQuotient({g * m: d * r for m, r in base.items()})
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(scaled_quotients(), st.integers(-2, 30))
+def test_primitive_quotient_reduction_matches_naive_product(quotient, offset):
+    _assert_matches_naive(quotient, math.floor(quotient.valuation) + offset)
+
+
+@pytest.mark.parametrize("terms", [
+    {3: 8},                            # a single term, valuation 1
+    {2: 24},                           # a single term, d = 24 and g = 2
+    {1: -24},                          # every exponent negative
+    {1: -8, 2: -8},                    # every exponent negative, two scales
+    {1: -8, 2: 16},                    # mixed signs, d = 8
+    {1: -6, 3: 18},                    # mixed signs, d = 6
+    {1: 2, 2: -4, 3: -6, 6: 12},       # mixed signs, d = 2
+    {2: -4, 4: 8},                     # mixed signs, d = 4 and g = 2
+    {3: 4},                            # d = 4 on the half grid
+    {1: -6, 3: 6},                     # mixed signs, d = 6 on the half grid
+    {2: 2, 4: 2},                      # d = 2 and g = 2 on the half grid
+    {},                                # the empty quotient
+])
+def test_primitive_quotient_cases(terms):
+    quotient = EtaQuotient(terms)
+    v = quotient.valuation
+    for prec in range(math.floor(v) - 1, math.floor(v) + 26):
+        _assert_matches_naive(quotient, prec)
 
 
 def test_parse_and_render():
