@@ -40,7 +40,7 @@ from .errors import (
     RankDeficient, RankExcess, UnsupportedLevel,
 )
 from .expr import Gen, expr_weight, power
-from .series import QSeries, _from_index, _min_prec, _ratio
+from .series import QSeries, _from_index, _min_prec, _ratio, _series
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def echelonize(forms, expected_dim, prec=None, *, level, weight, space="full"):
             if vals[p - lead]:
                 lead, vals = _primitive(_combine(vals, holder, p - lead), lead)
         ordered[i] = (lead, vals)
-    elements = tuple(QSeries(grid, lead, vals, size, vals[0]) for lead, vals in ordered)
+    elements = tuple(_series(grid, lead, vals, size, vals[0]) for lead, vals in ordered)
     return EchelonBasis(level, weight, space, elements, common)
 
 

@@ -3,12 +3,14 @@
 The full closed formulas are implemented (index product, elliptic point
 counts via quadratic residues, cusp count, genus), with no genus-zero
 shortcuts, so the module stays honest for levels beyond the catalogue.
+Each invariant is a product over the prime powers of N, read off one
+trial-division pass (``_factorization``), so a level near 10^9 costs
+milliseconds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import OddWeight, UnsupportedLevel
 
@@ -29,25 +31,22 @@ DELTA_DATA = {
 SUPPORTED_LEVELS = tuple(sorted(DELTA_DATA))
 
 
-def _prime_factors(n):
+def _factorization(n):
+    """[(p, e), ...]: the prime powers p^e of n, by one trial-division pass."""
     out = []
     p = 2
     while p * p <= n:
         if n % p == 0:
-            out.append(p)
+            n //= p
+            e = 1
             while n % p == 0:
                 n //= p
+                e += 1
+            out.append((p, e))
         p += 1
     if n > 1:
-        out.append(n)
+        out.append((n, 1))
     return out
-
-
-def euler_phi(n):
-    result = n
-    for p in _prime_factors(n):
-        result -= result // p
-    return result
 
 
 def group_index(N):
@@ -55,7 +54,7 @@ def group_index(N):
     if not isinstance(N, int) or N < 1:
         raise UnsupportedLevel(f"level must be a positive integer, got {N}")
     num, den = N, 1
-    for p in _prime_factors(N):
+    for p, _ in _factorization(N):
         num *= p + 1
         den *= p
     assert num % den == 0
@@ -66,7 +65,7 @@ def count_elliptic2(N):
     if N % 4 == 0:
         return 0
     count = 1
-    for p in _prime_factors(N):
+    for p, _ in _factorization(N):
         if p == 2:
             continue
         if p % 4 == 1:
@@ -80,7 +79,7 @@ def count_elliptic3(N):
     if N % 9 == 0:
         return 0
     count = 1
-    for p in _prime_factors(N):
+    for p, _ in _factorization(N):
         if p == 3:
             continue
         if p % 3 == 1:
@@ -91,11 +90,18 @@ def count_elliptic3(N):
 
 
 def count_cusps(N):
-    """Number of cusps of X0(N): sum over d|N of phi(gcd(d, N/d))."""
-    total = 0
-    for d in range(1, N + 1):
-        if N % d == 0:
-            total += euler_phi(gcd(d, N // d))
+    """Number of cusps of X0(N): sum over d|N of phi(gcd(d, N/d)).
+
+    The sum is multiplicative, so it is read off the factorization: a prime
+    power p^e with t = e // 2 contributes 2 p^t when e is odd and
+    p^t + p^(t-1) when e is even.
+    """
+    if not isinstance(N, int) or N < 1:
+        raise UnsupportedLevel(f"level must be a positive integer, got {N}")
+    total = 1
+    for p, e in _factorization(N):
+        t = e // 2
+        total *= 2 * p ** t if e % 2 else p ** t + p ** (t - 1)
     return total
 
 

@@ -13,6 +13,11 @@ as a scale factor raised to its full exponent, where the scales have not
 yet cancelled: for delta_2 = eta(2)^16/eta(1)^8 = (eta(2)^2/eta(1))^8 at
 720 coefficients, prod (1 - q^k)^-8 alone has 251-bit coefficients where
 the answer has none above 29 bits.
+
+Each scale factor f of P meets the product of the scales before it at its
+own size: f(q^m) has m - 1 zero slots out of every m, so
+``series.mul_substituted`` splits the product by exponent class mod m into
+m products on a 1/m share of the slots, not one product on all of them.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import FractionalValuation
-from .series import QSeries
+from .series import QSeries, _series, mul_substituted
 
 
 class EtaQuotient:
@@ -105,9 +110,10 @@ def eta_expand(e, prec):
     below n = ceil(rel/g), and each of its scales m' = m/g works on its own
     ceil(n/m') slots, where prod_k (1 - q^k) is written down from the
     pentagonal number theorem, inverted while it is still sparse when r_m
-    is negative, raised to |r_m/d| by repeated squaring, and only then read
-    at q^m' by substitution.  The product of the scales is raised to d and
-    read at q^g.  Raising P, not each scale factor, to d keeps every
+    is negative, raised to |r_m/d| by repeated squaring, and multiplied
+    into the scales before it at q^m' by ``mul_substituted``, one product
+    per exponent class mod m'.  The product of the scales is raised to d
+    and read at q^g.  Raising P, not each scale factor, to d keeps every
     intermediate no wider than the powers of P on the way to the answer.
     All of it stays in integer arithmetic.  The empty quotient is
     1 + O(q^prec); at or below the valuation the expansion is 0 + O(q^prec).
@@ -138,10 +144,10 @@ def eta_expand(e, prec):
         # prod_k (1 - q^k) below q^nm, with nm * m >= n: read at q^m it
         # covers every exponent of P below n
         nm = -(-n // m)
-        f = QSeries(1, 0, _euler_factor_list(1, nm), nm)
+        f = _series(1, 0, _euler_factor_list(1, nm), nm)
         if r < 0:
             f = f.invert()
-        f = (f ** abs(r // d)).substitute_q_power(m)
-        prim = f if prim is None else prim * f
+        f = f ** abs(r // d)
+        prim = f.substitute_q_power(m) if prim is None else mul_substituted(prim, f, m)
     prod = (prim.truncate(n) ** d).substitute_q_power(g)
     return (QSeries.monomial(v) * prod).truncate(prec)

@@ -117,7 +117,7 @@ class QSeries:
             if int(prec) != prec:
                 raise OffGrid(f"precision index {prec} is not integral")
             prec = int(prec)
-        if not all(type(c) is int for c in coeffs):
+        if not set(map(type, coeffs)) <= {int}:
             coeffs = [Fraction(c) for c in coeffs]
             d = lcm(*(c.denominator for c in coeffs))
             coeffs = [c.numerator * (d // c.denominator) for c in coeffs]
@@ -447,6 +447,41 @@ def _series(grid, lead, nums, prec, den=1):
     out = QSeries.__new__(QSeries)
     out._settle(grid, lead, nums, prec, den)
     return out
+
+
+def mul_substituted(a, f, m):
+    """The product a * f(q^m), where f(q^m) is ``f.substitute_q_power(m)``.
+
+    f(q^m) has m - 1 zero slots out of every m, so the product's exponent
+    class r mod m (counted from its lead) is a_r * f read at q^m, where a_r
+    holds a's coefficients at the same class: m products through
+    ``QSeries.__mul__`` on about 1/m of the slots each, interleaved by slice
+    assignment.  Below ``_KRONECKER_MIN`` slots per class, the schoolbook
+    loop of one product already skips the zero slots, and that product is
+    taken instead.  Both give the same series.
+    """
+    g = a.grid
+    pa = None if a.prec is None else a.prec + m * f.lead
+    pb = None if f.prec is None else m * f.prec + a.lead
+    prec = _min_prec(pa, pb)
+    lead = a.lead + m * f.lead
+    length = (len(a.nums) - 1) + m * (len(f.nums) - 1) + 1
+    if prec is not None:
+        length = min(length, prec - lead)
+    if (m == 1 or f.grid != g or not a.nums or not f.nums
+            or -(-length // m) < _KRONECKER_MIN):
+        return a * f.substitute_q_power(m)
+    # both runs as numerators over 1 on plain slot indices (grid 1, which
+    # never collapses); the denominators meet once at the end
+    fr = _series(1, 0, f.nums, None)
+    out = [0] * length
+    for r in range(m):
+        ar = _series(1, 0, a.nums[r:length:m], len(range(r, length, m)))
+        if ar.nums:
+            p = ar * fr
+            start = r + m * p.lead
+            out[start:start + m * len(p.nums):m] = p.nums
+    return _series(g, lead, out, prec, a.den * f.den)
 
 
 def first_mismatch(a, b):

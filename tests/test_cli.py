@@ -32,6 +32,18 @@ def test_dims_level9():
     assert "level 9 dim_S: 0 1 3 5 7 9 11 13" in text
 
 
+def test_dims_at_a_ten_digit_prime_level():
+    # every invariant comes from one trial-division pass per call, so a
+    # prime level near 10^9 is answered at once
+    code, text = run_cli(["dims", "--level", "1000000007", "--weights", "4..4"])
+    assert code == 0
+    assert text.splitlines() == [
+        "# cuspbase.v1 dims weights=4..4",
+        "level 1000000007 dim_S: 250000001",
+        "level 1000000007 dim_M: 250000003",
+    ]
+
+
 def test_dims_trivial():
     code, text = run_cli(["dims", "--level", "1", "--weights", "2..2"])
     assert code == 0

@@ -1,5 +1,7 @@
 """Level invariants, dimension formulas, Sturm bounds, shift identities."""
 
+from math import gcd
+
 import pytest
 
 from cuspbase.dimensions import (
@@ -67,6 +69,20 @@ def test_levels_below_one_are_unsupported():
         for formula in (dim_cusp, dim_modular, sturm_bound):
             with pytest.raises(UnsupportedLevel):
                 formula(N, 2)
+
+
+def _phi(n):
+    return sum(1 for j in range(1, n + 1) if gcd(j, n) == 1)
+
+
+def test_cusp_count_matches_the_divisor_sum():
+    phi = [0] + [_phi(n) for n in range(1, 60)]   # gcd(d, N/d)^2 <= N < 3000
+    for N in range(1, 3000):
+        expected = sum(phi[gcd(d, N // d)] for d in range(1, N + 1) if N % d == 0)
+        assert count_cusps(N) == expected, N
+    for N in (0, -4):
+        with pytest.raises(UnsupportedLevel):
+            count_cusps(N)
 
 
 def test_codimension_is_cusp_count():

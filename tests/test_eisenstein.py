@@ -4,16 +4,47 @@ import pytest
 
 from conftest import naive_sigma, series_coeffs
 from cuspbase.eisenstein import (
-    eisenstein_series, sigma_power_sum, weight2_level_combo,
+    _divisor_power_sums, eisenstein_series, sigma_power_sum, weight2_level_combo,
 )
 from cuspbase.series import first_mismatch
 from cuspbase.weierstrass import TorsionPoint, wpa_expand
 
 
 def test_sigma_against_full_enumeration():
-    for n in range(1, 60):
-        for k in (1, 3, 5):
+    for n in range(1, 300):
+        for k in (0, 1, 2, 3, 5):
             assert sigma_power_sum(n, k) == naive_sigma(n, k)
+
+
+def test_sigma_from_the_factorization():
+    # n = 2^9 * 5^9 and the prime 10^9 + 7: no sieve of n entries
+    assert sigma_power_sum(10 ** 9, 0) == 100
+    assert sigma_power_sum(10 ** 9, 1) == (2 ** 10 - 1) * (5 ** 10 - 1) // 4
+    assert sigma_power_sum(10 ** 9 + 7, 3) == 1 + (10 ** 9 + 7) ** 3
+    for k in (-1, 1.0):
+        with pytest.raises(ValueError):
+            sigma_power_sum(6, k)
+    with pytest.raises(ValueError):
+        sigma_power_sum(0, 1)
+
+
+def _sieve(prec, k):
+    # one Python step per (d, multiple) pair
+    s = [0] * max(prec, 1)
+    for d in range(1, prec):
+        for n in range(d, prec, d):
+            s[n] += d ** k
+    return s
+
+
+def test_divisor_sums_match_the_per_divisor_sieve():
+    # the divisors up to isqrt(prec - 1) go by their strides, the larger ones
+    # by their cofactors: every prec <= 400 puts each square r^2 and r^2 +- 1
+    # on both sides of that split
+    for k in (0, 1, 3, 5):
+        reference = _sieve(401, k)
+        for prec in range(0, 401):
+            assert _divisor_power_sums(prec, k) == (reference[:prec] or [0])
 
 
 def test_e4_e6_leading_terms():

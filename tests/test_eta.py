@@ -12,6 +12,7 @@ from cuspbase.catalog import eta_leaves
 from cuspbase.errors import ExprSyntaxError, FractionalValuation
 from cuspbase.eta import EtaQuotient, eta_expand, eta_profile
 from cuspbase.parse import parse_atom
+from cuspbase.series import _KRONECKER_MIN
 
 
 def test_published_expansions():
@@ -195,6 +196,34 @@ def test_primitive_quotient_cases(terms):
     v = quotient.valuation
     for prec in range(math.floor(v) - 1, math.floor(v) + 26):
         _assert_matches_naive(quotient, prec)
+
+
+@pytest.mark.parametrize("terms", [
+    {1: -8, 2: 16},                    # scale 2, d = 8
+    {1: 10, 2: 1},                     # scale 2, d = 1, half grid
+    {1: -6, 3: 18},                    # scale 3, d = 6
+    {1: 6, 3: 2},                      # scale 3, d = 2, half grid
+    {1: -2, 5: 10},                    # scale 5, d = 2
+    {1: 7, 5: 1},                      # scale 5, d = 1, half grid
+    {1: 2, 10: 1},                     # scale 10, d = 1, half grid
+    {1: 2, 2: -4, 5: -10, 10: 20},     # scales 2, 5 and 10 in one product
+])
+def test_each_scale_split_by_residue_class(terms):
+    # the product part meets a scale-m factor f through mul_substituted,
+    # which splits it into m products on ceil(rel/m) slots when that is at
+    # least _KRONECKER_MIN: rel = c*m - 1, c*m or c*m + 1 for c one below,
+    # at and one above that size puts the split on both sides of the rule
+    quotient = EtaQuotient(terms)
+    v = Fraction(quotient.valuation)
+    rels = sorted({c * m + j for m, _ in quotient.terms if m > 1
+                   for c in (_KRONECKER_MIN - 1, _KRONECKER_MIN, _KRONECKER_MIN + 1)
+                   for j in (-1, 0, 1)})
+    # the naive product below rel is a prefix of the one below max(rels)
+    oracle = naive_eta_product_part(quotient.terms, rels[-1])
+    for rel in rels:
+        s = eta_expand(quotient, v + rel)
+        assert s.prec_exponent == v + rel
+        assert s.items() == [(v + i, c) for i, c in enumerate(oracle[:rel]) if c]
 
 
 def test_parse_and_render():

@@ -14,6 +14,7 @@ from cuspbase.errors import (
 from cuspbase.eta import EtaQuotient, _euler_factor_list, eta_expand
 from cuspbase.series import (
     _KRONECKER_MIN, QSeries, _from_index, _to_index, first_mismatch,
+    mul_substituted,
 )
 
 
@@ -399,6 +400,57 @@ def test_product_kernels_match_naive_convolution(data, grid, short, extra):
     square = QSeries(grid, 2 * la, naive_convolve(ra, ra, upto),
                      None if pa is None else pa + la)
     assert a * a == a * copy == square
+
+
+@st.composite
+def sized_series(draw, grid, sizes):
+    """A series on the grid whose run takes one of the sizes: small ints and
+    fractions with zeros, or a sparse run, with nonzero ends, any lead and a
+    frontier inside, at or past the run, or none."""
+    lead = draw(st.integers(0, 4))
+    n = draw(st.sampled_from(sizes))
+    coeff = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=12)
+    if draw(st.booleans()):
+        run = draw(st.lists(coeff, min_size=n, max_size=n))
+    else:
+        run = [0] * n
+        for i, c in draw(st.dictionaries(st.integers(0, n - 1), coeff,
+                                         max_size=6)).items():
+            run[i] = c
+    run[0], run[-1] = draw(coeff.filter(bool)), draw(coeff.filter(bool))
+    prec = draw(st.none() | st.integers(lead + n, lead + n + 3 * grid)
+                | st.integers(lead, lead + n))
+    return QSeries(grid, lead, run, prec)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.data(), st.sampled_from([1, 2]), st.integers(1, 6),
+       st.integers(-2, 2))
+def test_mul_substituted_matches_the_substituted_product(data, grid, m, skew):
+    # a's run gives each of the m exponent classes about _KRONECKER_MIN - 1,
+    # _KRONECKER_MIN or _KRONECKER_MIN + 1 slots, give or take skew, so the
+    # split is taken and declined; f is on either grid, long or short
+    per_class = [_KRONECKER_MIN - 1, _KRONECKER_MIN, _KRONECKER_MIN + 1]
+    a = data.draw(sized_series(grid, [c * m + skew for c in per_class
+                                      if c * m + skew > 0]))
+    f = data.draw(sized_series(data.draw(st.sampled_from([grid, grid, 1])),
+                               [1, 3, _KRONECKER_MIN, 2 * _KRONECKER_MIN + 1]))
+    product = mul_substituted(a, f, m)
+    assert product == a * f.substitute_q_power(m)
+    assert_canonical(product)
+
+
+def test_mul_substituted_keeps_each_class_on_its_slots():
+    # a half-grid factor whose even slots make one class: read on the half
+    # grid, that class alone would collapse to the whole grid and halve its
+    # slot indices
+    run = [0] * 32
+    run[0] = run[4] = run[31] = 1
+    a = QSeries(2, 0, run, None)
+    f = QSeries.monomial(Fraction(1, 2))
+    assert 2 * _KRONECKER_MIN <= len(run)
+    assert mul_substituted(a, f, 2) == a * f.substitute_q_power(2) == QSeries(
+        2, 2, run, None)
 
 
 @settings(max_examples=60, deadline=None, database=None)

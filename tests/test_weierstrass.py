@@ -7,7 +7,7 @@ import pytest
 from conftest import series_coeffs
 from cuspbase.errors import LatticePoint
 from cuspbase.eta import EtaQuotient, eta_expand
-from cuspbase.series import first_mismatch
+from cuspbase.series import QSeries, first_mismatch
 from cuspbase.weierstrass import TorsionPoint, wpa_expand
 
 
@@ -57,6 +57,54 @@ def test_half_grid_cancellation_in_weight4_combination():
     assert combo.grid == 1
     assert combo.valuation() == 1
     assert combo.leading_coefficient() == 1
+
+
+def _naive_wpa(a, b, N, idx):
+    """-12 times the bracket on the first idx slots of the point's grid (wp
+    is a third of it), by the per-(n, m) double loop over the Lambert terms
+    m x^m, x = sign * q^(base/grid): n = 0 gives u, and every n >= 1 gives
+    Q^n u, Q^n u^-1 and, twice subtracted, Q^n.  A base 0 (u = -1) adds the
+    Abel sum of m (-1)^m, -1/4."""
+    grid = 2 if a % 2 else 1
+    sign = -1 if b else 1
+    e_u, step = a * grid // 2, N * grid
+    bracket = [0] * idx                 # 12 times the bracket
+    bracket[0] = 1
+    terms = [(e_u, sign, 12)]
+    for n in range(1, idx // step + 2):
+        terms += [(n * step + e_u, sign, 12), (n * step - e_u, sign, 12),
+                  (n * step, 1, -24)]
+    for base, x, weight in terms:
+        if base == 0:
+            bracket[0] -= weight // 4
+            continue
+        for m in range(1, idx):
+            if m * base >= idx:
+                break
+            bracket[m * base] += weight * m * x ** m
+    return grid, [-c for c in bracket]
+
+
+def _torsion_points(levels):
+    return [(a, b, N) for N in levels for a in range(2 * N + 1) for b in (0, 1)
+            if a % (2 * N) or b]
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_lambert_slices_match_the_double_loop(N):
+    # every torsion point of the level: a = 0 with b = 1 and a = 2N with
+    # b = 1 put a base at 0 (the Abel term), odd a the half grid; the
+    # frontiers 1..40 and 719..721 sit on both sides of the split between
+    # bases taken one at a time and multipliers taken one at a time
+    for a, b, _ in _torsion_points([N]):
+        grid, oracle = _naive_wpa(a, b, N, 721 * (2 if a % 2 else 1))
+        for prec in [*range(1, 41), 719, 720, 721]:
+            s = wpa_expand(TorsionPoint(a, b, N), prec)
+            assert s.prec_exponent == prec
+            assert s == QSeries(grid, 0, oracle[:prec * grid], prec * grid, 3)
+    # a fractional frontier rounds up to the next slot of the point's grid
+    s = wpa_expand(TorsionPoint(1, 0, N), Fraction(7, 3))
+    assert s == wpa_expand(TorsionPoint(1, 0, N), Fraction(5, 2))
 
 
 def test_lattice_point_rejected():
