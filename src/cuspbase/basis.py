@@ -67,9 +67,12 @@ def echelonize(forms, expected_dim, prec=None, *, level, weight, space="full"):
     Rows are taken by increasing valuation (ties by input order), reduced
     against the pivots found so far, and finally fully back-substituted.
     Dependent rows are dropped; RankDeficient / RankExcess report a span of
-    the wrong size.  The elimination is fraction-free: every row is a
-    primitive integer vector over the grid slots below the common frontier,
-    and at the end each row becomes a series over its pivot entry.
+    the wrong size.  The elimination is fraction-free: every row is an
+    integer vector over the grid slots below the common frontier, and at
+    the end each row becomes a series over its pivot entry.  Rows are kept
+    primitive, except that a back-substituted row led by +-1, whose content
+    is 1, skips the content pass; and a pivot led by 1 clears an entry
+    without scaling the row it clears it from.
     """
     common = None
     for f in forms:
@@ -106,7 +109,11 @@ def echelonize(forms, expected_dim, prec=None, *, level, weight, space="full"):
         lead, vals = ordered[i]
         for p, holder in ordered[i + 1:]:
             if vals[p - lead]:
-                lead, vals = _primitive(_combine(vals, holder, p - lead), lead)
+                vals = _combine(vals, holder, p - lead)
+                # a row led by +-1 has content 1; the lead stays put, as
+                # every later pivot lies to its right
+                if vals[0] not in (1, -1):
+                    vals = _primitive(vals)[1]
         ordered[i] = (lead, vals)
     elements = tuple(_series(grid, lead, vals, size, vals[0]) for lead, vals in ordered)
     return EchelonBasis(level, weight, space, elements, common)
@@ -163,12 +170,16 @@ def _primitive(vals, lead=0):
 
 def _combine(vals, holder, offset):
     """a*vals - b*holder with holder aligned at vals[offset]; a and b are the
-    two entries there divided by their gcd, so that entry cancels."""
+    two entries there divided by their gcd, so that entry cancels.  When a
+    is 1, as it is for a pivot led by 1, vals is not scaled."""
     a, b = holder[0], vals[offset]
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    head = vals[:offset] if a == 1 else [a * x for x in vals[:offset]]
-    return head + [a * x - b * y for x, y in zip(vals[offset:], holder)]
+    if a != 1:
+        g = gcd(a, b)
+        a, b = a // g, b // g
+    if a == 1:
+        return vals[:offset] + [x - b * y for x, y in zip(vals[offset:], holder)]
+    return [a * x for x in vals[:offset]] + [
+        a * x - b * y for x, y in zip(vals[offset:], holder)]
 
 
 # -- basis memo -----------------------------------------------------------------

@@ -3,9 +3,9 @@
 The full closed formulas are implemented (index product, elliptic point
 counts via quadratic residues, cusp count, genus), with no genus-zero
 shortcuts, so the module stays honest for levels beyond the catalogue.
-Each invariant is a product over the prime powers of N, read off one
-trial-division pass (``_factorization``), so a level near 10^9 costs
-milliseconds.
+Each invariant is a product over the prime powers of N, and a formula
+reads all the invariants it needs off one trial-division pass
+(``_factorization``), so a level near 10^9 costs milliseconds.
 """
 
 from __future__ import annotations
@@ -49,67 +49,54 @@ def _factorization(n):
     return out
 
 
-def group_index(N):
-    """Index of Gamma0(N) in the full modular group: N prod_{p|N} (1 + 1/p)."""
+def _invariants(N):
+    """(index, elliptic2, elliptic3, cusps, genus) of Gamma0(N), every one
+    read off the same trial-division pass over N."""
     if not isinstance(N, int) or N < 1:
         raise UnsupportedLevel(f"level must be a positive integer, got {N}")
-    num, den = N, 1
-    for p, _ in _factorization(N):
-        num *= p + 1
-        den *= p
-    assert num % den == 0
-    return num // den
+    primes = _factorization(N)
+    index = N
+    for p, _ in primes:
+        index = index // p * (p + 1)
+    # elliptic points of order 2 and 3: prod over p | N of 1 + (-4/p),
+    # resp. 1 + (-3/p), and none when 4 | N, resp. 9 | N
+    e2 = 0 if N % 4 == 0 else 1
+    e3 = 0 if N % 9 == 0 else 1
+    # the cusp sum over d | N of phi(gcd(d, N/d)) is multiplicative: p^e
+    # with t = e // 2 contributes 2 p^t when e is odd, p^t + p^(t-1) when even
+    cusps = 1
+    for p, e in primes:
+        if p != 2:
+            e2 *= 2 if p % 4 == 1 else 0
+        if p != 3:
+            e3 *= 2 if p % 3 == 1 else 0
+        t = e // 2
+        cusps *= 2 * p ** t if e % 2 else p ** t + p ** (t - 1)
+    g12 = 12 + index - 3 * e2 - 4 * e3 - 6 * cusps
+    assert g12 % 12 == 0
+    return index, e2, e3, cusps, g12 // 12
+
+
+def group_index(N):
+    """Index of Gamma0(N) in the full modular group: N prod_{p|N} (1 + 1/p)."""
+    return _invariants(N)[0]
 
 
 def count_elliptic2(N):
-    if N % 4 == 0:
-        return 0
-    count = 1
-    for p, _ in _factorization(N):
-        if p == 2:
-            continue
-        if p % 4 == 1:
-            count *= 2
-        else:
-            return 0
-    return count
+    return _invariants(N)[1]
 
 
 def count_elliptic3(N):
-    if N % 9 == 0:
-        return 0
-    count = 1
-    for p, _ in _factorization(N):
-        if p == 3:
-            continue
-        if p % 3 == 1:
-            count *= 2
-        else:
-            return 0
-    return count
+    return _invariants(N)[2]
 
 
 def count_cusps(N):
-    """Number of cusps of X0(N): sum over d|N of phi(gcd(d, N/d)).
-
-    The sum is multiplicative, so it is read off the factorization: a prime
-    power p^e with t = e // 2 contributes 2 p^t when e is odd and
-    p^t + p^(t-1) when e is even.
-    """
-    if not isinstance(N, int) or N < 1:
-        raise UnsupportedLevel(f"level must be a positive integer, got {N}")
-    total = 1
-    for p, e in _factorization(N):
-        t = e // 2
-        total *= 2 * p ** t if e % 2 else p ** t + p ** (t - 1)
-    return total
+    """Number of cusps of X0(N): sum over d|N of phi(gcd(d, N/d))."""
+    return _invariants(N)[3]
 
 
 def genus(N):
-    g12 = 12 + group_index(N) - 3 * count_elliptic2(N) - 4 * count_elliptic3(N) \
-        - 6 * count_cusps(N)
-    assert g12 % 12 == 0
-    return g12 // 12
+    return _invariants(N)[4]
 
 
 @dataclass(frozen=True)
@@ -129,7 +116,7 @@ class LevelProfile:
 
 
 def level_profile(N):
-    index = group_index(N)
+    index, e2, e3, cusps, g = _invariants(N)
     delta = DELTA_DATA.get(N)
     if delta is None:
         rho = nu = k0 = None
@@ -141,10 +128,10 @@ def level_profile(N):
     return LevelProfile(
         level=N,
         index=index,
-        elliptic2=count_elliptic2(N),
-        elliptic3=count_elliptic3(N),
-        cusps=count_cusps(N),
-        genus=genus(N),
+        elliptic2=e2,
+        elliptic3=e3,
+        cusps=cusps,
+        genus=g,
         delta_weight=rho,
         delta_valuation=nu,
         ladder_start=k0,
@@ -157,30 +144,25 @@ def _check_weight(w):
         raise OddWeight(f"weight must be a nonnegative even integer, got {w}")
 
 
+def _dimensions(N, w):
+    """(dim M_w, dim S_w) of Gamma0(N) for even w > 0."""
+    _, e2, e3, cusps, g = _invariants(N)
+    if w == 2:
+        return g + cusps - 1, g
+    dim = (w - 1) * (g - 1) + (w // 4) * e2 + (w // 3) * e3 + (w // 2) * cusps
+    return dim, dim - cusps
+
+
 def dim_modular(N, w):
     """dim M_w(Gamma0(N)) for even w >= 0."""
     _check_weight(w)
-    if w == 0:
-        return 1
-    g = genus(N)
-    if w == 2:
-        return g + count_cusps(N) - 1
-    return (
-        (w - 1) * (g - 1)
-        + (w // 4) * count_elliptic2(N)
-        + (w // 3) * count_elliptic3(N)
-        + (w // 2) * count_cusps(N)
-    )
+    return 1 if w == 0 else _dimensions(N, w)[0]
 
 
 def dim_cusp(N, w):
     """dim S_w(Gamma0(N)) for even w >= 0."""
     _check_weight(w)
-    if w == 0:
-        return 0
-    if w == 2:
-        return genus(N)
-    return dim_modular(N, w) - count_cusps(N)
+    return 0 if w == 0 else _dimensions(N, w)[1]
 
 
 def sturm_bound(N, w):

@@ -16,14 +16,20 @@ A product is computed only below its frontier.  When the shorter known run
 has at least ``_KRONECKER_MIN`` slots, it is one big-integer product by
 Kronecker substitution (D. Harvey, arXiv:0712.4046); any other product is a
 schoolbook convolution.  Both give the same numerators.  The Kronecker
-product packs each run in one pass, biasing every slot by half its range so
-that each coefficient takes one ``to_bytes`` call, and a square packs its
-one run once and squares the integer.
+product packs each run once, and a square packs its one run once and
+squares the integer.  A slot of at most 8 bytes is rounded up to a machine
+word of 1, 2, 4 or 8 bytes, packed and unpacked by one ``array`` call per
+run: XOR with the integer T that has the top bit of every slot set, then
+subtracting T, turns two's-complement words into the signed sum, and adding
+T, then XOR with T, turns the product back.  Wider slots are bytes, biased
+by half a slot so that each coefficient takes one ``to_bytes`` call.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -56,39 +62,79 @@ def _ratio(n, d):
 
 # shorter run length from which a product is a Kronecker product; replaying
 # every product of one pass of the benchmark workloads through both kernels,
-# the schoolbook loop is faster below 8 slots, the two tie at 8-15 and the
-# Kronecker product is faster from 16 on
-_KRONECKER_MIN = 16
+# the schoolbook loop is faster below 7 slots and the word-slot Kronecker
+# product from 7 on, and mul_substituted's split into exponent classes of
+# 7 slots costs more than it saves
+_KRONECKER_MIN = 8
+
+# a slot of w <= 8 bytes widens to the smallest machine word that holds it:
+# _WORD_SLOTS[w] is that word's size in bytes and _WORD_CODES[size] its
+# array typecode ("q", a C long long, has at least 8 bytes)
+_WORD_CODES = {array(code).itemsize: code for code in "qihb"}
+_WORD_SLOTS = {w: min(s for s in _WORD_CODES if s >= w) for w in range(1, 9)}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _kronecker(a, b, length):
-    """First ``length`` coefficients of the product of two int runs.
+    """First ``length`` coefficients of the product of two int runs of at
+    most ``length`` slots each.
 
     Kronecker substitution: each run becomes one integer with a fixed-width
-    little-endian byte slot per coefficient, one big-integer product does the
-    convolution, and the product's slots are read back.  Every slot holds its
-    value plus half a slot, so that it is nonnegative: a run is packed in one
-    pass and the integer of those biases is subtracted once, and the product
-    gets them added before it is read.  A square (``b is a``) packs its one
-    run once and squares the integer.
+    little-endian slot per coefficient, one big-integer product does the
+    convolution, and the product's slots are read back.  A slot of at most
+    8 bytes is a machine word, and one ``array`` call packs or unpacks a
+    run.  The words hold two's complement; XOR with T, the integer with the
+    top bit of every slot set, turns each into its value plus half a slot,
+    and subtracting T leaves sum c_i 2^(8 s i).  A product read back adds T,
+    so that every slot is nonnegative, and XOR with T turns the slots into
+    two's complement words again.  Wider slots are bytes: every slot is
+    biased by half a slot, packed by one ``to_bytes`` call per coefficient
+    and read back by one ``from_bytes`` call.  A square (``b is a``) packs
+    its one run once and squares the integer.
     """
     # no product coefficient exceeds bound in size: a slot of w bytes holds
-    # it with the sign bit to spare
+    # it with the sign bit to spare, 2^(8w - 1) > bound.  Every input
+    # coefficient is at most bound too, as the other run has a nonzero
+    # entry, so a word of s >= w bytes holds every input and product
+    # coefficient as a signed s-byte integer, and both packings are exact
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     w = (bound.bit_length() + 8) // 8
-    half = 1 << (8 * w - 1)
-    slot = half.to_bytes(w, "little")
     from_bytes = int.from_bytes
+    s = _WORD_SLOTS.get(w)
+    if s is not None:
+        code = _WORD_CODES[s]
+        top = from_bytes((b"\0" * (s - 1) + b"\x80") * length, "little")
 
-    def pack(run):
-        data = b"".join([(c + half).to_bytes(w, "little") for c in run])
-        return from_bytes(data, "little") - from_bytes(slot * len(run), "little")
+        def pack(run):
+            words = array(code, run)
+            if _BIG_ENDIAN:
+                words.byteswap()
+            return (from_bytes(words.tobytes(), "little") ^ top) - top
+
+        def unpack(product):
+            low = ((product + top) & ((1 << (8 * s * length)) - 1)) ^ top
+            words = array(code)
+            words.frombytes(low.to_bytes(s * length, "little"))
+            if _BIG_ENDIAN:
+                words.byteswap()
+            return words.tolist()
+    else:
+        half = 1 << (8 * w - 1)
+        slot = half.to_bytes(w, "little")
+
+        def pack(run):
+            data = b"".join([(c + half).to_bytes(w, "little") for c in run])
+            return from_bytes(data, "little") - from_bytes(slot * len(run), "little")
+
+        def unpack(product):
+            low = (product + from_bytes(slot * length, "little")) & (
+                (1 << (8 * w * length)) - 1)
+            data = low.to_bytes(w * length, "little")
+            return [from_bytes(data[i:i + w], "little") - half
+                    for i in range(0, w * length, w)]
 
     pa = pack(a)
-    product = pa * pa if b is a else pa * pack(b)
-    low = (product + from_bytes(slot * length, "little")) & ((1 << (8 * w * length)) - 1)
-    data = low.to_bytes(w * length, "little")
-    return [from_bytes(data[i:i + w], "little") - half for i in range(0, w * length, w)]
+    return unpack(pa * pa if b is a else pa * pack(b))
 
 
 def _min_prec(p, q):

@@ -131,6 +131,33 @@ def test_echelonize_matches_naive_gauss_jordan(case, expected_dim):
         assert got == EchelonBasis(1, 0, "full", want, common)
 
 
+def test_echelonize_back_substitutes_through_unit_and_non_unit_pivots(monkeypatch):
+    # pivots led by 1, -1, 2 and 3, each with zeros at the later pivot
+    # columns so that it keeps its lead, and a first row that meets all four:
+    # it stays led by +-1 (content 1, no content pass) after the first two
+    # and by a non-unit (a content pass) after the last two
+    rows = [
+        [1, 1, 1, 1, 1, 1, 1],
+        [0, 1, 0, 0, 0, 2, 5],
+        [0, 0, -1, 0, 0, 3, 1],
+        [0, 0, 0, 2, 0, 1, 4],
+        [0, 0, 0, 0, 3, 1, 2],
+    ]
+    combined = []
+    combine = basis_mod._combine
+
+    def recording(vals, holder, offset):
+        out = combine(vals, holder, offset)
+        combined.append((holder[0], out[0]))
+        return out
+
+    monkeypatch.setattr(basis_mod, "_combine", recording)
+    got = echelonize([QSeries(1, 0, r, 7) for r in rows], 5, 7, level=1, weight=0)
+    assert combined == [(1, 1), (-1, -1), (2, -2), (3, -6)]
+    want = tuple(QSeries(1, 0, r, 7) for r in naive_rref(rows, 7))
+    assert got == EchelonBasis(1, 0, "full", want, 7)
+
+
 def test_span_atoms_are_unitary_of_declared_weight_and_valuation():
     for n in range(1, 11):
         for atom in get_catalog(n).span_atoms:

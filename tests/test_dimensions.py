@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from cuspbase import dimensions
 from cuspbase.dimensions import (
     DELTA_DATA, count_cusps, default_prec, dim_cusp, dim_modular,
     dim_shift_report, group_index, ladder_dim_report, level_profile, sturm_bound,
@@ -83,6 +84,23 @@ def test_cusp_count_matches_the_divisor_sum():
     for N in (0, -4):
         with pytest.raises(UnsupportedLevel):
             count_cusps(N)
+
+
+def test_each_formula_factorises_the_level_once(monkeypatch):
+    passes = []
+    factorization = dimensions._factorization
+
+    def counting(n):
+        passes.append(n)
+        return factorization(n)
+
+    monkeypatch.setattr(dimensions, "_factorization", counting)
+    for N in (1, 4, 9, 10, 26, 10007):
+        for w in (2, 4, 12):
+            for formula in (dim_cusp, dim_modular, sturm_bound, default_prec):
+                passes.clear()
+                formula(N, w)
+                assert passes == [N], (formula.__name__, N, w)
 
 
 def test_codimension_is_cusp_count():

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -400,6 +400,62 @@ def test_product_kernels_match_naive_convolution(data, grid, short, extra):
     square = QSeries(grid, 2 * la, naive_convolve(ra, ra, upto),
                      None if pa is None else pa + la)
     assert a * a == a * copy == square
+
+
+@st.composite
+def word_boundary_factors(draw):
+    """(bits, a, b, prec) for a Kronecker product whose width bound
+    max|a| * max|b| * (shorter length) has exactly ``bits`` bits: 8s - 1,
+    the most a word of s bytes holds with its sign bit, or 8s, one more, for
+    s = 1, 2, 4 and 8.  b is a for a square.  Each run holds only +M, only
+    -M, or mixed values up to M with M at its start; both are whole, and
+    the frontier is none or cuts the product short of its full length."""
+    bits = draw(st.sampled_from([8 * s - 1 + over for s in (1, 2, 4, 8)
+                                 for over in (0, 1)]))
+    lo, hi = 1 << (bits - 1), (1 << bits) - 1     # bounds of that bit length
+    n = draw(st.integers(_KRONECKER_MIN, 40))
+    square = draw(st.booleans())
+    if square:
+        # M^2 * n in [lo, hi]: lengthen the run until such an M exists
+        while isqrt(-(-lo // n) - 1) + 1 > isqrt(hi // n):
+            n += 1
+        ma = mb = draw(st.integers(isqrt(-(-lo // n) - 1) + 1, isqrt(hi // n)))
+        na = nb = n
+    else:
+        mb = draw(st.integers(1, lo // n))
+        ma = draw(st.integers(-(-lo // (mb * n)), hi // (mb * n)))
+        na, nb = n, n + draw(st.integers(0, 20))
+        if draw(st.booleans()):
+            (ma, na), (mb, nb) = (mb, nb), (ma, na)
+    assert (ma * mb * min(na, nb)).bit_length() == bits
+
+    def run(m, size):
+        kind = draw(st.sampled_from(["+M", "-M", "mixed"]))
+        if kind != "mixed":
+            return [m if kind == "+M" else -m] * size
+        out = draw(st.lists(st.integers(-m, m), min_size=size, max_size=size))
+        out[0] = draw(st.sampled_from([m, -m]))
+        out[-1] = out[-1] or 1
+        return out
+
+    ra = run(ma, na)
+    rb = ra if square else run(mb, nb)
+    prec = draw(st.none() | st.integers(max(na, nb), na + nb - 2))
+    return bits, ra, rb, prec
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(word_boundary_factors(), st.integers(0, 3), st.integers(0, 3))
+def test_kronecker_word_boundaries_match_naive_convolution(factors, la, lb):
+    # a bound of 8s - 1 bits takes the word of s bytes, one of 8s bits the
+    # next wider slot, the byte slots past 8 bytes
+    bits, ra, rb, prec = factors
+    a = QSeries(1, la, ra, None if prec is None else la + prec)
+    b = a if rb is ra else QSeries(1, lb, rb, None)
+    lead = la + (la if b is a else lb)
+    upto = len(ra) + len(rb) - 1 if prec is None else prec
+    assert a * b == QSeries(1, lead, naive_convolve(ra, rb, upto),
+                            None if prec is None else lead + prec)
 
 
 @st.composite
