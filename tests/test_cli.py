@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from cuspbase import dimensions
 from cuspbase.cli import main
 from cuspbase.verify import PRINTED_SERIES
 
@@ -42,6 +43,23 @@ def test_dims_at_a_ten_digit_prime_level():
         "level 1000000007 dim_S: 250000001",
         "level 1000000007 dim_M: 250000003",
     ]
+
+
+def test_dims_factorises_each_level_once(monkeypatch):
+    # the default weights 2..16 are eight columns of two rows each, and
+    # all sixteen cells read the level's invariants off one pass
+    passes = []
+    factorization = dimensions._factorization
+
+    def counting(n):
+        passes.append(n)
+        return factorization(n)
+
+    monkeypatch.setattr(dimensions, "_factorization", counting)
+    code, text = run_cli(["dims", "--level", "1000000007"])
+    assert code == 0
+    assert len(text.splitlines()) == 3
+    assert passes == [1000000007]
 
 
 def test_dims_trivial():

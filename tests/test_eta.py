@@ -116,14 +116,61 @@ def test_each_scale_at_its_slot_boundaries():
                     assert [s.coeff(v + i) for i in range(rel)] == oracle
 
 
-def _assert_matches_naive(quotient, prec):
+def _assert_matches_naive(quotient, prec, oracle=None):
+    # a truncation of the naive product is its own prefix, so one oracle
+    # computed to the deepest precision serves every shallower one
     v = Fraction(quotient.valuation)
     s = eta_expand(quotient, prec)
     assert s.prec_exponent == prec
     depth = max(math.ceil(prec - v), 0)
-    oracle = naive_eta_product_part(quotient.terms, depth) if depth else []
-    assert s.items() == [(v + i, c) for i, c in enumerate(oracle) if c]
+    if oracle is None:
+        oracle = naive_eta_product_part(quotient.terms, depth) if depth else []
+    assert len(oracle) >= depth
+    assert s.items() == [(v + i, c) for i, c in enumerate(oracle[:depth]) if c]
     assert all(type(c) is int for _, c in s.items())
+
+
+def _quotient_of(text):
+    return EtaQuotient(tuple(map(int, t.split(":"))) for t in text.split(","))
+
+
+@pytest.mark.parametrize("text", [
+    "2:16,1:-8",      # leading exponent -s with s = 1, at m' = 1
+    "1:-16,2:8",      # s = 2
+    "1:-18,3:6",      # s = 3
+    "1:-3,3:1",       # s = 3 with exponent gcd 1
+    "2:-3,3:2",       # m' = 2, s = 3
+    "4:-3,6:2",       # m' = 2 over the scale gcd 2
+    "2:-2,5:8",       # m' = 2, s = 1, on the half grid
+    "1:-2,2:5,4:-2",  # s = 2, and a negative scale past the leading one
+    "1:-24",          # only negative terms: P = 1/prod (1 - q^k)
+    "1:-48",
+    "3:-8",
+    "1:-4,2:8",       # the half grid
+])
+def test_leading_negative_scale_is_divided_out(text):
+    # a negative exponent at P's leading scale is divided out of the other
+    # scales' product; the precisions start two below the valuation, pass
+    # through the one that leaves P a single slot, and go 30 slots deep
+    quotient = _quotient_of(text)
+    assert quotient.terms[0][1] < 0
+    low = math.floor(quotient.valuation)
+    oracle = naive_eta_product_part(quotient.terms, 32)
+    for prec in range(low - 2, low + 31):
+        _assert_matches_naive(quotient, prec, oracle)
+    # P of one slot: the leading monomial alone
+    first = eta_expand(quotient, low + 1)
+    assert first.items() == [(quotient.valuation, 1)]
+
+
+def test_catalogue_leaves_with_a_negative_leading_scale_at_720():
+    # the expand workload's depth and one slot either side of it
+    leaves = [q for _, q in eta_leaves() if q.terms[0][1] < 0]
+    assert len(leaves) == 7
+    for quotient in leaves:
+        oracle = naive_eta_product_part(quotient.terms, 721 - quotient.valuation)
+        for prec in (719, 720, 721):
+            _assert_matches_naive(quotient, prec, oracle)
 
 
 @st.composite

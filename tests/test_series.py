@@ -13,7 +13,7 @@ from cuspbase.errors import (
 )
 from cuspbase.eta import EtaQuotient, _euler_factor_list, eta_expand
 from cuspbase.series import (
-    _KRONECKER_MIN, QSeries, _from_index, _to_index, first_mismatch,
+    _KRONECKER_MIN, QSeries, _from_index, _quotient, _to_index, first_mismatch,
     mul_substituted,
 )
 
@@ -302,6 +302,43 @@ def test_invert_of_a_sparse_unit(drawn):
     assert f * inv == QSeries.one(prec)
     if f.den == 1 and f.nums[0] in (1, -1):
         assert inv.den == 1
+
+
+@st.composite
+def quotient_cases(draw):
+    """(run, offsets, values) for ``_quotient``: runs of 1, 2 or up to 40
+    slots, and a divisor 1 + sum_k values_k q^offsets_k whose values are
+    only +-1, +-1 mixed with others, or nonzero at every offset.  The
+    offsets n - 1, n and n + 1 around the run's end n are always there."""
+    n = draw(st.sampled_from([1, 2]) | st.integers(3, 40))
+    run = draw(st.lists(st.integers(-99, 99), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["units", "mixed", "dense"]))
+    if kind == "dense":
+        offsets = list(range(1, n + 2))
+    else:
+        offsets = draw(st.sets(st.integers(1, n + 1), max_size=8))
+        offsets = sorted(offsets | {k for k in (n - 1, n, n + 1) if k >= 1})
+    unit = st.sampled_from([1, -1])
+    other = st.integers(-9, 9).filter(lambda c: c not in (-1, 0, 1))
+    value = {"units": unit, "mixed": unit | other,
+             "dense": st.integers(-9, 9).filter(bool)}[kind]
+    values = draw(st.lists(value, min_size=len(offsets), max_size=len(offsets)))
+    return run, offsets, values
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(quotient_cases())
+def test_quotient_times_divisor_is_the_run(case):
+    # the +1 and -1 offsets are summed without products and the other values
+    # with one product each; every offset joins the sum at its own slot
+    run, offsets, values = case
+    n = len(run)
+    divisor = [1] + [0] * (n + 1)
+    for k, c in zip(offsets, values):
+        divisor[k] = c
+    out = _quotient(run, offsets, values)
+    assert len(out) == n and all(type(c) is int for c in out)
+    assert naive_convolve(out, divisor, n) == run
 
 
 @st.composite
