@@ -349,7 +349,7 @@ def structure_decompose(N, k):
         raise UnsupportedLevel(f"no structuring form catalogued for level {N}")
     if k < 2:
         raise ValueError("decomposition starts at half-weight 2")
-    rho, nu, _ = DELTA_DATA[N]
+    rho, nu = DELTA_DATA[N]
     half = rho // 2
     r = (k - 2) % half + 2
     q = (k - r) // half

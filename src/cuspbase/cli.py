@@ -20,10 +20,10 @@ import sys
 
 from . import verify as _verify
 from .basis import m_basis, s_basis
-from .catalog import evaluate
+from .catalog import evaluate, get_catalog
 from .dimensions import SUPPORTED_LEVELS, default_prec, dimension_pairs, \
     sturm_bound
-from .errors import CuspbaseError, ExprSyntaxError, UnsupportedLevel
+from .errors import CuspbaseError, ExprSyntaxError
 from .eta import eta_expand
 from .expr import _frac_str, render
 from .parse import parse_atom, parse_expr
@@ -100,7 +100,10 @@ def cmd_dims(args, out):
 
 
 def cmd_basis(args, out):
-    N = int(args.level)
+    try:
+        N = int(args.level)
+    except ValueError:
+        raise ValueError(f"level must be an integer, got {args.level!r}") from None
     w = args.weight
     if w % 2 or w < 2:
         raise ValueError("weight must be an even integer >= 2")
@@ -157,8 +160,7 @@ def cmd_expand(args, out):
 def cmd_verify(args, out):
     levels = _parse_levels(args.level)
     for N in levels:
-        if N not in SUPPORTED_LEVELS:
-            raise UnsupportedLevel(f"level {N} is outside the catalogued range 1..10")
+        get_catalog(N)   # raises UnsupportedLevel before the header
     print(f"# {FORMAT_VERSION} verify levels={args.level} suite={args.suite}",
           file=out)
     results, all_ok = _verify.run_suite(levels, args.suite)

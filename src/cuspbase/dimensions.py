@@ -6,6 +6,13 @@ shortcuts, so the module stays honest for levels beyond the catalogue.
 Each invariant is a product over the prime powers of N, and a formula
 reads all the invariants it needs off one trial-division pass
 (``_factorization``), so a level near 10^9 costs milliseconds.
+
+The ladder start k0 is derived, not recorded: ``ladder_start(N)`` is the
+smallest k0 >= 1 at which the paper's condition (iii) holds, ``None`` when
+there is none (N = 26).  k0 = 1 counts, so a genus-1 level with no
+elliptic points (N = 11) starts at 1.  The runtime reads the catalogue's
+k0 (half the seeds' weight); the structure checks certify it against
+condition (iii) through ``ladder_dim_report``.
 """
 
 from __future__ import annotations
@@ -14,18 +21,18 @@ from dataclasses import dataclass
 
 from .errors import OddWeight, UnsupportedLevel
 
-# (delta weight, delta valuation, ladder start k0) for the catalogued levels
+# (delta weight, delta valuation) for the catalogued levels
 DELTA_DATA = {
-    1: (12, 1, 6),
-    2: (4, 1, 4),
-    3: (6, 2, 3),
-    4: (2, 1, 3),
-    5: (4, 2, 2),
-    6: (2, 2, 2),
-    7: (6, 4, 3),
-    8: (2, 2, 2),
-    9: (2, 2, 2),
-    10: (4, 6, 2),
+    1: (12, 1),
+    2: (4, 1),
+    3: (6, 2),
+    4: (2, 1),
+    5: (4, 2),
+    6: (2, 2),
+    7: (6, 4),
+    8: (2, 2),
+    9: (2, 2),
+    10: (4, 6),
 }
 
 SUPPORTED_LEVELS = tuple(sorted(DELTA_DATA))
@@ -101,7 +108,8 @@ def genus(N):
 
 @dataclass(frozen=True)
 class LevelProfile:
-    """Invariants of Gamma0(N), plus ladder data for catalogued levels."""
+    """Invariants of Gamma0(N), its ladder start, and the structuring form's
+    weight and valuation at the catalogued levels."""
 
     level: int
     index: int
@@ -112,19 +120,11 @@ class LevelProfile:
     delta_weight: int | None
     delta_valuation: int | None
     ladder_start: int | None
-    seed_names: tuple[str, ...]
 
 
 def level_profile(N):
     index, e2, e3, cusps, g = _invariants(N)
-    delta = DELTA_DATA.get(N)
-    if delta is None:
-        rho = nu = k0 = None
-        seeds = ()
-    else:
-        rho, nu, k0 = delta
-        seeds = tuple(f"F{2 * k0}_{N}_{s}"
-                      for s in range(1, dim_cusp(N, 2 * k0) + 1))
+    rho, nu = DELTA_DATA.get(N, (None, None))
     return LevelProfile(
         level=N,
         index=index,
@@ -134,8 +134,7 @@ def level_profile(N):
         genus=g,
         delta_weight=rho,
         delta_valuation=nu,
-        ladder_start=k0,
-        seed_names=seeds,
+        ladder_start=ladder_start(N),
     )
 
 
@@ -191,7 +190,7 @@ def dim_shift_report(N, k_max):
     """
     if N not in DELTA_DATA:
         raise UnsupportedLevel(f"no delta profile for level {N}")
-    rho, nu, _ = DELTA_DATA[N]
+    rho, nu = DELTA_DATA[N]
     rows = []
     for k in range(1, k_max + 1):
         expected = nu if k >= 2 else nu - 1
@@ -200,21 +199,52 @@ def dim_shift_report(N, k_max):
     return rows
 
 
+def _pairs_by_weight(N, k_max):
+    """{w: (dim M_w, dim S_w)} for the even weights 2..2*k_max, one row."""
+    weights = range(2, 2 * k_max + 1, 2)
+    return dict(zip(weights, dimension_pairs(N, weights)))
+
+
+def _ladder_condition(pairs, k0):
+    """(rows, constant_ok, diffs) of condition (iii) at start k0 >= 1, read
+    off ``_pairs_by_weight(N, k0 + 12)``."""
+    target = pairs[2 * k0][1] - 1
+    diffs = [pairs[2 * k][1] - pairs[2 * (k - k0)][0]
+             for k in range(k0 + 1, k0 + 13)]
+    rows = [(k, target, diff, diff == target)
+            for k, diff in zip(range(k0 + 1, k0 + 7), diffs)]
+    return rows, all(d == target for d in diffs), diffs
+
+
 def ladder_dim_report(N, k0):
     """Per-k ladder dimension identity, plus constancy of the difference.
 
     Checks dim S_{2k} = dim M_{2(k-k0)} + dim S_{2k0} - 1 for k in
     k0+1..k0+6 and that k -> dim S_{2k} - dim M_{2(k-k0)} stays constant
     through k0+12 (the 6-periodic difference must be constant for the
-    ladder to run forever).  Returns (rows, constant_ok, diffs).
+    ladder to run forever).  k0 must be at least 1.  Returns
+    (rows, constant_ok, diffs).
     """
-    target = dim_cusp(N, 2 * k0) - 1
-    rows = []
-    diffs = []
-    for k in range(k0 + 1, k0 + 13):
-        diff = dim_cusp(N, 2 * k) - dim_modular(N, 2 * (k - k0))
-        diffs.append(diff)
-        if k <= k0 + 6:
-            rows.append((k, target, diff, diff == target))
-    constant_ok = all(d == target for d in diffs)
-    return rows, constant_ok, diffs
+    if k0 < 1:
+        raise ValueError(f"ladder start must be at least 1, got {k0}")
+    return _ladder_condition(_pairs_by_weight(N, k0 + 12), k0)
+
+
+def ladder_start(N):
+    """The smallest k0 with dim S_{2k0} > 0 that passes condition (iii)
+    (``ladder_dim_report``), or None.
+
+    k0 = 1 counts: at N = 11, with genus 1 and no elliptic points, it is 1.
+    Searching 1..6, one period of phi(k) = dim S_{2k} - dim M_{2(k-k0)}, is
+    enough.  For k0 >= 2 the dimension formulas give phi(k) minus its target
+    dim S_{2k0} - 1 as the genus plus e2 and e3 terms that are never
+    negative and vanish when 6 | k0.  So only the 15 genus-0 levels (1-10,
+    12, 13, 16, 18, 25) qualify, and each passes by k0 = 6.  Every
+    dimension is read off one ``dimension_pairs`` row.
+    """
+    pairs = _pairs_by_weight(N, 6 + 12)
+    for k0 in range(1, 7):
+        # constancy at the target covers the identity rows
+        if pairs[2 * k0][1] > 0 and _ladder_condition(pairs, k0)[1]:
+            return k0
+    return None

@@ -41,7 +41,8 @@ class LatticePoint(CuspbaseError, ValueError):
 # -- dimensions / catalog ---------------------------------------------------
 
 class UnsupportedLevel(CuspbaseError, ValueError):
-    """Level outside the catalogued range 1..10."""
+    """Level a request cannot take: the catalogue holds data for levels
+    1..10 only, and the dimension formulas need a level of at least 1."""
 
 
 class OddWeight(CuspbaseError, ValueError):

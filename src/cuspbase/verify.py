@@ -159,16 +159,22 @@ def check_seed_alt_reading():
     )
 
 
-def check_ladder_offsets_level7():
-    """Both candidate ladder offsets at level 7; k0=3 is the one that works."""
-    _, ok3, diffs3 = ladder_dim_report(7, 3)
-    _, ok2, diffs2 = ladder_dim_report(7, 2)
-    ok = ok3 and not ok2
+def check_ladder_offsets(N):
+    """The catalogue's ladder start against its base seed's half-weight:
+    the start gives a constant difference, the base seed's does not."""
+    cat = _catalog.get_catalog(N)
+    low = expr_weight(cat.base_seed) // 2
+    _, ok_start, diffs_start = ladder_dim_report(N, cat.k0)
+    _, ok_low, diffs_low = ladder_dim_report(N, low)
     return CheckResult(
-        "ladder:offset:N=7", ok,
-        f"start 3 gives constant difference {diffs3[0]}; "
-        f"start 2 gives nonconstant {sorted(set(diffs2))}",
+        f"ladder:offset:N={N}", ok_start and not ok_low,
+        f"start {cat.k0} gives constant difference {diffs_start[0]}; "
+        f"start {low} gives nonconstant {sorted(set(diffs_low))}",
     )
+
+
+# perfbench/tracing.py wraps this check under its earlier name
+check_ladder_offsets_level7 = check_ladder_offsets
 
 
 # -- structural checks -----------------------------------------------------------
@@ -182,7 +188,7 @@ def check_dim_shift(N):
 
 
 def check_ladder_dims(N):
-    k0 = DELTA_DATA[N][2]
+    k0 = _catalog.get_catalog(N).k0
     rows, constant_ok, diffs = ladder_dim_report(N, k0)
     row_ok = all(ok for _, _, _, ok in rows)
     ok = row_ok and constant_ok
@@ -194,7 +200,7 @@ def check_ladder_dims(N):
 def check_seed_valuation_law(N):
     """Below-the-diagonal valuations: element s of the cusp basis has
     valuation s for s <= nu, once the weight passes the structuring form."""
-    rho, nu, _ = DELTA_DATA[N]
+    rho, nu = DELTA_DATA[N]
     start = rho // 2 + 2
     bad = []
     for k in range(start, rho // 2 + 9):
@@ -213,14 +219,15 @@ def check_seed_valuation_law(N):
 
 def check_delta_multiplication(N, k_max=10):
     """delta * S_{2k} lands in the span of S_{2k+rho} above valuation nu."""
-    rho, nu, k0 = DELTA_DATA[N]
+    rho, nu = DELTA_DATA[N]
+    cat = _catalog.get_catalog(N)
     bad = []
-    for k in range(k0, k_max + 1):
+    for k in range(cat.k0, k_max + 1):
         low = s_basis(N, k)
         if not len(low):
             continue
         high = s_basis(N, k + rho // 2)
-        delta = _catalog.evaluate(_catalog.get_catalog(N).delta, high.prec)
+        delta = _catalog.evaluate(cat.delta, high.prec)
         for e in low.elements:
             prod = delta * e
             if prod.valuation() <= nu:
@@ -233,7 +240,7 @@ def check_delta_multiplication(N, k_max=10):
     if bad:
         return CheckResult(f"ladder:delta_mul:N={N}", False, f"failures: {bad}")
     return CheckResult(f"ladder:delta_mul:N={N}", True,
-                       f"membership holds for k in {k0}..{k_max}")
+                       f"membership holds for k in {cat.k0}..{k_max}")
 
 
 def check_decompositions(N):
@@ -282,7 +289,7 @@ def check_basis_validity(N):
 
 def check_catalog_profile(N):
     """Structuring-form weight and valuation agree with the recorded profile."""
-    rho, nu, _ = DELTA_DATA[N]
+    rho, nu = DELTA_DATA[N]
     w, v = eta_profile(_catalog.get_catalog(N).delta)
     series = _catalog.evaluate(_catalog.get_catalog(N).delta, v + 8)
     ok = (w, v) == (rho, nu) and series.valuation() == v \
@@ -338,8 +345,8 @@ def reference_checks(N):
             out.append(check_printed_series(check_id))
     for check_id, lhs, rhs, weight in _catalog.catalog_identities(N):
         out.append(check_identity(check_id, N, lhs, rhs, weight))
-    if N == 7:
-        out.append(check_ladder_offsets_level7())
+    if _catalog.get_catalog(N).base_seed is not None:
+        out.append(check_ladder_offsets(N))
     if N == 9:
         out.append(check_seed_alt_reading())
     return out

@@ -93,7 +93,7 @@ def test_criterion_4_structure_suite():
         assert get_catalog(n).k0 == k0
         rows, constant_ok, _ = ladder_dim_report(n, k0)
         assert constant_ok and all(ok for *_, ok in rows), f"ladder at level {n}"
-    for n, (rho, nu, _) in DELTA_DATA.items():
+    for n, (rho, nu) in DELTA_DATA.items():
         for k in range(rho // 2 + 2, rho // 2 + 9):
             vals = s_basis(n, k).valuations
             for s in range(1, nu + 1):

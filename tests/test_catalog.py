@@ -7,7 +7,7 @@ from conftest import series_coeffs
 from cuspbase.catalog import (
     catalog_identities, eta_leaves, evaluate, get_catalog, named_forms,
 )
-from cuspbase.dimensions import DELTA_DATA, default_prec, dim_cusp, level_profile
+from cuspbase.dimensions import DELTA_DATA, default_prec, dim_cusp, ladder_start
 from cuspbase.errors import UnsupportedLevel
 from cuspbase.eta import eta_profile
 from cuspbase.expr import expr_weight
@@ -24,7 +24,7 @@ def test_unsupported_level():
 
 
 def test_delta_profiles_match_catalog():
-    for n, (rho, nu, _) in DELTA_DATA.items():
+    for n, (rho, nu) in DELTA_DATA.items():
         assert eta_profile(get_catalog(n).delta) == (rho, nu)
 
 
@@ -65,10 +65,7 @@ def test_seed_counts():
         cat = get_catalog(n)
         assert len(cat.seeds) == (3 if n in (7, 10) else 1)
         assert len(cat.seeds) == dim_cusp(n, 2 * cat.k0)
-        assert cat.k0 == DELTA_DATA[n][2]
-        seed_names = [name for name in named_forms(n)
-                      if name.startswith(f"F{2 * cat.k0}_")]
-        assert list(level_profile(n).seed_names) == seed_names
+        assert cat.k0 == ladder_start(n)
     assert get_catalog(7).base_seed is not None
 
 

@@ -291,6 +291,21 @@ def test_verify_output_deterministic():
     assert first == second
 
 
+def test_basis_level_that_is_not_a_number_is_a_usage_error(capsys):
+    code, text = run_cli(["basis", "--level", "x", "--weight", "4"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == \
+        "cuspbase: error: level must be an integer, got 'x'\n"
+
+
+@pytest.mark.parametrize("level", ["0", "11", "26"])
+def test_verify_uncatalogued_level_is_a_usage_error(level, capsys):
+    code, text = run_cli(["verify", "--level", level])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == \
+        f"cuspbase: error: level {level} is outside the catalogued range 1..10\n"
+
+
 def test_usage_errors():
     code, _ = run_cli(["dims", "--level", "2", "--weights", "3..7"])
     assert code == 2

@@ -5,9 +5,11 @@ from math import gcd
 import pytest
 
 from cuspbase import dimensions
+from cuspbase.catalog import get_catalog
 from cuspbase.dimensions import (
     DELTA_DATA, count_cusps, default_prec, dim_cusp, dim_modular,
-    dim_shift_report, group_index, ladder_dim_report, level_profile, sturm_bound,
+    dim_shift_report, group_index, ladder_dim_report, ladder_start,
+    level_profile, sturm_bound,
 )
 from cuspbase.errors import OddWeight, UnsupportedLevel
 from cuspbase.verify import PRINTED_TABLES
@@ -25,6 +27,9 @@ PROFILES = {
     9: (12, 0, 0, 4, 0),
     10: (18, 2, 0, 4, 0),
 }
+
+# the ladder starts of the catalogued levels, as the acceptance suite pins them
+LADDER_STARTS = {1: 6, 2: 4, 3: 3, 4: 3, 5: 2, 6: 2, 7: 3, 8: 2, 9: 2, 10: 2}
 
 
 def test_profiles():
@@ -130,8 +135,7 @@ def test_dim_shift_examples():
 
 
 def test_ladder_reports():
-    expected_k0 = {1: 6, 2: 4, 3: 3, 4: 3, 5: 2, 6: 2, 7: 3, 8: 2, 9: 2, 10: 2}
-    for n, k0 in expected_k0.items():
+    for n, k0 in LADDER_STARTS.items():
         rows, constant_ok, diffs = ladder_dim_report(n, k0)
         assert constant_ok, f"level {n}"
         assert all(ok for _, _, _, ok in rows)
@@ -158,11 +162,68 @@ def test_level26_has_no_ladder_start():
         assert not constant_ok
     rows, _, _ = ladder_dim_report(26, 1)
     assert rows[5][0] == 7 and not rows[5][3]
+    assert ladder_start(26) is None
+    assert level_profile(26).ladder_start is None
+
+
+def test_ladder_start_is_the_catalogue_start():
+    for n, k0 in LADDER_STARTS.items():
+        assert ladder_start(n) == get_catalog(n).k0 == k0, n
+        assert level_profile(n).ladder_start == k0, n
+
+
+def test_ladder_start_seed_count():
+    # delta_{k0}(N) = dim S_{2k0}: 3 at levels 7 and 10, 1 elsewhere
+    for n in range(1, 11):
+        assert dim_cusp(n, 2 * ladder_start(n)) == (3 if n in (7, 10) else 1), n
+
+
+def test_ladder_start_one_counts():
+    # genus 1, no elliptic points: the weight-2 form starts the ladder
+    assert ladder_start(11) == 1
+    assert level_profile(11).ladder_start == 1
+    for n in (11, 26):
+        p = level_profile(n)
+        assert (p.delta_weight, p.delta_valuation) == (None, None)
+
+
+def test_ladder_start_search_through_one_period_is_enough():
+    def search(n, k_max):
+        for k0 in range(1, k_max + 1):
+            rows, constant_ok, _ = ladder_dim_report(n, k0)
+            if dim_cusp(n, 2 * k0) > 0 and constant_ok and \
+                    all(ok for *_, ok in rows):
+                return k0
+        return None
+
+    for n in range(1, 201):
+        assert ladder_start(n) == search(n, 40), n
+
+
+def test_ladder_start_factorises_the_level_once(monkeypatch):
+    passes = []
+    factorization = dimensions._factorization
+
+    def counting(n):
+        passes.append(n)
+        return factorization(n)
+
+    monkeypatch.setattr(dimensions, "_factorization", counting)
+    for N in (1, 7, 11, 26, 10007):
+        passes.clear()
+        ladder_start(N)
+        assert passes == [N], N
+
+
+def test_ladder_dim_report_needs_a_positive_start():
+    for k0 in (0, -1):
+        with pytest.raises(ValueError):
+            ladder_dim_report(7, k0)
 
 
 def test_delta_valuation_fills_its_weights_sturm_count():
     # rho * [SL2(Z):Gamma0(N)] = 12 nu, so lifting by delta^n adds n*nu to
     # both the Sturm bound and the valuation: structure_decompose relies on
     # default_prec(N, 2k) - n*nu >= default_prec(N, 2k - n*rho)
-    for n, (rho, nu, _) in DELTA_DATA.items():
+    for n, (rho, nu) in DELTA_DATA.items():
         assert rho * group_index(n) == 12 * nu, n

@@ -1,17 +1,18 @@
 """The certification suite runner and its individual checks."""
 
+import dataclasses
 import sys
 from collections import Counter
 
 import pytest
 
-from cuspbase import basis
+from cuspbase import basis, catalog
 from cuspbase.basis import DecompositionReport
-from cuspbase.catalog import clear_caches
+from cuspbase.catalog import clear_caches, get_catalog
 from cuspbase.verify import (
     check_decompositions, check_delta_multiplication, check_identity,
-    check_ladder_offsets_level7, check_printed_series, check_seed_alt_reading,
-    reference_checks, run_suite,
+    check_ladder_dims, check_ladder_offsets, check_printed_series,
+    check_seed_alt_reading, reference_checks, run_suite,
 )
 from cuspbase.expr import Delta, eta
 from cuspbase.series import QSeries
@@ -53,9 +54,21 @@ def test_alt_reading_is_informational():
 
 
 def test_level7_offset_check():
-    result = check_ladder_offsets_level7()
+    result = check_ladder_offsets(7)
     assert result.ok
     assert "start 3" in result.detail and "start 2" in result.detail
+
+
+def test_ladder_dims_check_reads_the_catalogue_start(monkeypatch):
+    # level 7 with its weight-4 base seed as the only seed starts at k0=2,
+    # where the ladder difference is not constant: the check must fail
+    cat = get_catalog(7)
+    doctored = dataclasses.replace(cat, seeds=(cat.base_seed,), base_seed=None)
+    assert doctored.k0 == 2
+    monkeypatch.setitem(catalog._CATALOGS, 7, doctored)
+    result = check_ladder_dims(7)
+    assert not result.ok
+    assert result.detail.startswith("start 2, rows ")
 
 
 def test_delta_multiplication_check():
