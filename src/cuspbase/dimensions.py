@@ -186,15 +186,17 @@ def dim_shift_report(N, k_max):
     """Check dim S_{2k+rho} - dim S_{2k} against the delta valuation.
 
     The difference must equal nu for k >= 2 and nu - 1 for k = 1.  Returns
-    one (k, expected, actual, ok) row per k in 1..k_max.
+    one (k, expected, actual, ok) row per k in 1..k_max, every dimension
+    read off one ``dimension_pairs`` row.
     """
     if N not in DELTA_DATA:
         raise UnsupportedLevel(f"no delta profile for level {N}")
     rho, nu = DELTA_DATA[N]
+    pairs = _pairs_by_weight(N, k_max + rho // 2)
     rows = []
     for k in range(1, k_max + 1):
         expected = nu if k >= 2 else nu - 1
-        actual = dim_cusp(N, 2 * k + rho) - dim_cusp(N, 2 * k)
+        actual = pairs[2 * k + rho][1] - pairs[2 * k][1]
         rows.append((k, expected, actual, expected == actual))
     return rows
 

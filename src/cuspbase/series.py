@@ -15,14 +15,15 @@ out, a coefficient is an int when integral, else a ``fractions.Fraction``.
 A product is computed only below its frontier.  When the shorter known run
 has at least ``_KRONECKER_MIN`` slots, it is one big-integer product by
 Kronecker substitution (D. Harvey, arXiv:0712.4046); any other product is a
-schoolbook convolution.  Both give the same numerators.  The Kronecker
-product packs each run once, and a square packs its one run once and
-squares the integer.  A slot of at most 8 bytes is rounded up to a machine
-word of 1, 2, 4 or 8 bytes, packed and unpacked by one ``array`` call per
-run: XOR with the integer T that has the top bit of every slot set, then
-subtracting T, turns two's-complement words into the signed sum, and adding
-T, then XOR with T, turns the product back.  Wider slots are bytes, biased
-by half a slot so that each coefficient takes one ``to_bytes`` call.
+schoolbook convolution.  Both give the same numerators, and ``_convolve``
+is the one place that chooses between them.  The Kronecker product packs
+each run once, and a square packs its one run once and squares the
+integer.  Every slot holds its coefficient in two's complement: XOR with
+the integer T that has the top bit of every slot set, then subtracting T,
+turns the slots into the signed sum, and adding T, then XOR with T, turns
+the product back.  A slot of at most 8 bytes is rounded up to a machine
+word of 1, 2, 4 or 8 bytes and a run's bytes come from one ``array`` call;
+a wider slot's bytes come from one ``to_bytes`` call per coefficient.
 """
 
 from __future__ import annotations
@@ -62,16 +63,35 @@ def _ratio(n, d):
 # shorter run length from which a product is a Kronecker product; replaying
 # every product of one pass of the benchmark workloads through both kernels,
 # the schoolbook loop is faster below 7 slots and the word-slot Kronecker
-# product from 7 on, and mul_substituted's split into exponent classes of
-# 7 slots costs more than it saves
+# product from 7 on
 _KRONECKER_MIN = 8
 
 # a slot of w <= 8 bytes widens to the smallest machine word that holds it:
 # _WORD_SLOTS[w] is that word's size in bytes and _WORD_CODES[size] its
-# array typecode ("q", a C long long, has at least 8 bytes)
+# array typecode ("q", a C long long, has at least 8 bytes); a wider slot
+# keeps its w bytes
 _WORD_CODES = {array(code).itemsize: code for code in "qihb"}
 _WORD_SLOTS = {w: min(s for s in _WORD_CODES if s >= w) for w in range(1, 9)}
 _BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _convolve(ac, bc, length):
+    """First ``length`` coefficients of the product of two int runs of at
+    most ``length`` slots each, both with a nonzero entry: a Kronecker
+    product when the shorter run has ``_KRONECKER_MIN`` slots or more, else
+    a schoolbook loop that skips zero slots.  ``bc is ac`` marks a square."""
+    if min(len(ac), len(bc)) >= _KRONECKER_MIN:
+        return _kronecker(ac, bc, length)
+    out = [0] * length
+    for i, ca in enumerate(ac):
+        if ca == 0:
+            continue
+        jmax = min(len(bc), length - i)
+        for j in range(jmax):
+            cb = bc[j]
+            if cb != 0:
+                out[i + j] += ca * cb
+    return out
 
 
 def _kronecker(a, b, length):
@@ -80,60 +100,48 @@ def _kronecker(a, b, length):
 
     Kronecker substitution: each run becomes one integer with a fixed-width
     little-endian slot per coefficient, one big-integer product does the
-    convolution, and the product's slots are read back.  A slot of at most
-    8 bytes is a machine word, and one ``array`` call packs or unpacks a
-    run.  The words hold two's complement; XOR with T, the integer with the
-    top bit of every slot set, turns each into its value plus half a slot,
-    and subtracting T leaves sum c_i 2^(8 s i).  A product read back adds T,
-    so that every slot is nonnegative, and XOR with T turns the slots into
-    two's complement words again.  Wider slots are bytes: every slot is
-    biased by half a slot, packed by one ``to_bytes`` call per coefficient
-    and read back by one ``from_bytes`` call.  A square (``b is a``) packs
-    its one run once and squares the integer.
+    convolution, and the product's slots are read back.  Every slot holds
+    two's complement; XOR with T, the integer with the top bit of every
+    slot set, turns each into its value plus half a slot, and subtracting T
+    leaves sum c_i 2^(8 s i).  A product read back adds T, so that every
+    slot is nonnegative, and XOR with T turns the slots into two's
+    complement again.  Only the bytes differ by width: a slot of at most 8
+    bytes is a machine word, and one ``array`` call converts a run; a wider
+    slot takes one ``to_bytes`` call per coefficient and one ``from_bytes``
+    call per slot read back.  A square (``b is a``) packs its one run once
+    and squares the integer.
     """
     # no product coefficient exceeds bound in size: a slot of w bytes holds
     # it with the sign bit to spare, 2^(8w - 1) > bound.  Every input
     # coefficient is at most bound too, as the other run has a nonzero
-    # entry, so a word of s >= w bytes holds every input and product
-    # coefficient as a signed s-byte integer, and both packings are exact
+    # entry, so a slot of s >= w bytes holds every input and product
+    # coefficient as a signed s-byte integer, and packing and read-back are
+    # exact
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     w = (bound.bit_length() + 8) // 8
+    s = _WORD_SLOTS.get(w, w)
+    code = _WORD_CODES.get(s)
     from_bytes = int.from_bytes
-    s = _WORD_SLOTS.get(w)
-    if s is not None:
-        code = _WORD_CODES[s]
-        top = from_bytes((b"\0" * (s - 1) + b"\x80") * length, "little")
-
-        def pack(run):
+    top = from_bytes((b"\0" * (s - 1) + b"\x80") * length, "little")
+    packed = []
+    for run in (a,) if b is a else (a, b):
+        if code is None:
+            data = b"".join([c.to_bytes(s, "little", signed=True) for c in run])
+        else:
             words = array(code, run)
             if _BIG_ENDIAN:
                 words.byteswap()
-            return (from_bytes(words.tobytes(), "little") ^ top) - top
-
-        def unpack(product):
-            low = ((product + top) & ((1 << (8 * s * length)) - 1)) ^ top
-            words = array(code)
-            words.frombytes(low.to_bytes(s * length, "little"))
-            if _BIG_ENDIAN:
-                words.byteswap()
-            return words.tolist()
-    else:
-        half = 1 << (8 * w - 1)
-        slot = half.to_bytes(w, "little")
-
-        def pack(run):
-            data = b"".join([(c + half).to_bytes(w, "little") for c in run])
-            return from_bytes(data, "little") - from_bytes(slot * len(run), "little")
-
-        def unpack(product):
-            low = (product + from_bytes(slot * length, "little")) & (
-                (1 << (8 * w * length)) - 1)
-            data = low.to_bytes(w * length, "little")
-            return [from_bytes(data[i:i + w], "little") - half
-                    for i in range(0, w * length, w)]
-
-    pa = pack(a)
-    return unpack(pa * pa if b is a else pa * pack(b))
+            data = words.tobytes()
+        packed.append((from_bytes(data, "little") ^ top) - top)
+    low = ((packed[0] * packed[-1] + top) & ((1 << (8 * s * length)) - 1)) ^ top
+    data = low.to_bytes(s * length, "little")
+    if code is None:
+        return [from_bytes(data[i:i + s], "little", signed=True)
+                for i in range(0, len(data), s)]
+    words = array(code, data)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words.tolist()
 
 
 def _min_prec(p, q):
@@ -355,18 +363,7 @@ class QSeries:
         # not upcast) hands the kernel one run, which it packs once
         ac = a.nums[:length]
         bc = ac if b is a else b.nums[:length]
-        if min(len(ac), len(bc)) >= _KRONECKER_MIN:
-            return _series(g, lead, _kronecker(ac, bc, length), prec, den)
-        out = [0] * length
-        for i, ca in enumerate(ac):
-            if ca == 0:
-                continue
-            jmax = min(len(bc), length - i)
-            for j in range(jmax):
-                cb = bc[j]
-                if cb != 0:
-                    out[i + j] += ca * cb
-        return _series(g, lead, out, prec, den)
+        return _series(g, lead, _convolve(ac, bc, length), prec, den)
 
     __rmul__ = __mul__
 
@@ -537,13 +534,15 @@ def mul_substituted(a, f, m):
 
     f(q^m) has m - 1 zero slots out of every m, so the product's exponent
     class r mod m (counted from its lead) is a_r * f read at q^m, where a_r
-    holds a's coefficients at the same class: m products through
-    ``QSeries.__mul__`` on about 1/m of the slots each, interleaved by slice
-    assignment.  Below ``_KRONECKER_MIN`` slots per class, the schoolbook
-    loop of one product already skips the zero slots, and that product is
-    taken instead.  Both give the same series.
+    holds a's coefficients at the same class: one ``_convolve`` call per
+    class on about 1/m of the slots, written back by slice assignment.  A
+    class whose run of a is all zero is left zero, as the kernel needs a
+    nonzero entry in each run.  An f off a's grid takes the product with
+    f(q^m).
     """
     g = a.grid
+    if f.grid != g or not a.nums or not f.nums:
+        return a * f.substitute_q_power(m)
     pa = None if a.prec is None else a.prec + m * f.lead
     pb = None if f.prec is None else m * f.prec + a.lead
     prec = _min_prec(pa, pb)
@@ -551,19 +550,12 @@ def mul_substituted(a, f, m):
     length = (len(a.nums) - 1) + m * (len(f.nums) - 1) + 1
     if prec is not None:
         length = min(length, prec - lead)
-    if (m == 1 or f.grid != g or not a.nums or not f.nums
-            or -(-length // m) < _KRONECKER_MIN):
-        return a * f.substitute_q_power(m)
-    # both runs as numerators over 1 on plain slot indices (grid 1, which
-    # never collapses); the denominators meet once at the end
-    fr = _series(1, 0, f.nums, None)
     out = [0] * length
     for r in range(m):
-        ar = _series(1, 0, a.nums[r:length:m], len(range(r, length, m)))
-        if ar.nums:
-            p = ar * fr
-            start = r + m * p.lead
-            out[start:start + m * len(p.nums):m] = p.nums
+        ar = a.nums[r:length:m]
+        if any(ar):
+            n = len(range(r, length, m))
+            out[r::m] = _convolve(ar, f.nums[:n], n)
     return _series(g, lead, out, prec, a.den * f.den)
 
 

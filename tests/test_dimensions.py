@@ -127,6 +127,27 @@ def test_dim_shift_identity():
         assert all(ok for _, _, _, ok in rows), f"level {n}"
 
 
+def test_dim_shift_report_factorises_the_level_once(monkeypatch):
+    # the rows are the per-k dim_cusp differences, read off one pass over N
+    differences = {
+        N: [dim_cusp(N, 2 * k + rho) - dim_cusp(N, 2 * k) for k in range(1, 51)]
+        for N, (rho, _) in DELTA_DATA.items()
+    }
+    passes = []
+    factorization = dimensions._factorization
+
+    def counting(n):
+        passes.append(n)
+        return factorization(n)
+
+    monkeypatch.setattr(dimensions, "_factorization", counting)
+    for N in range(1, 11):
+        passes.clear()
+        rows = dim_shift_report(N, 50)
+        assert passes == [N], N
+        assert [actual for _, _, actual, _ in rows] == differences[N], N
+
+
 def test_dim_shift_examples():
     # level 7: dim S_10 - dim S_4 = 4; level 1 at k=1 gives nu - 1 = 0
     assert dim_cusp(7, 10) - dim_cusp(7, 4) == 5 - 1 == 4

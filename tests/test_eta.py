@@ -257,9 +257,10 @@ def test_primitive_quotient_cases(terms):
 ])
 def test_each_scale_split_by_residue_class(terms):
     # the product part meets a scale-m factor f through mul_substituted,
-    # which splits it into m products on ceil(rel/m) slots when that is at
-    # least _KRONECKER_MIN: rel = c*m - 1, c*m or c*m + 1 for c one below,
-    # at and one above that size puts the split on both sides of the rule
+    # which splits it into m products on about rel/m slots each, and those
+    # take the Kronecker kernel from _KRONECKER_MIN slots on: rel = c*m - 1,
+    # c*m or c*m + 1 for c one below, at and one above that size puts the
+    # class products on both sides of the kernel choice
     quotient = EtaQuotient(terms)
     v = Fraction(quotient.valuation)
     rels = sorted({c * m + j for m, _ in quotient.terms if m > 1

@@ -520,10 +520,11 @@ def sized_series(draw, grid, sizes):
 @given(st.data(), st.sampled_from([1, 2]), st.integers(1, 6),
        st.integers(-2, 2))
 def test_mul_substituted_matches_the_substituted_product(data, grid, m, skew):
-    # a's run gives each of the m exponent classes about _KRONECKER_MIN - 1,
-    # _KRONECKER_MIN or _KRONECKER_MIN + 1 slots, give or take skew, so the
-    # split is taken and declined; f is on either grid, long or short
-    per_class = [_KRONECKER_MIN - 1, _KRONECKER_MIN, _KRONECKER_MIN + 1]
+    # a's run gives each of the m exponent classes about 1, 2,
+    # _KRONECKER_MIN - 1, _KRONECKER_MIN or _KRONECKER_MIN + 1 slots, give or
+    # take skew, so class products take both kernels and some classes are
+    # empty; f is on either grid, long or short
+    per_class = [1, 2, _KRONECKER_MIN - 1, _KRONECKER_MIN, _KRONECKER_MIN + 1]
     a = data.draw(sized_series(grid, [c * m + skew for c in per_class
                                       if c * m + skew > 0]))
     f = data.draw(sized_series(data.draw(st.sampled_from([grid, grid, 1])),
