@@ -25,11 +25,11 @@ entries too.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd
 
+from ._record import Record
 from .catalog import MEMO, evaluate, get_catalog
 from .dimensions import (
     DELTA_DATA, default_prec, dim_cusp, dim_modular, sturm_bound,
@@ -43,15 +43,16 @@ from .expr import Gen, expr_weight, power
 from .series import QSeries, _from_index, _min_prec, _ratio, _series
 
 
-@dataclass(frozen=True)
-class EchelonBasis:
+class EchelonBasis(Record):
     """Ordered unitary upper-triangular basis with a common precision."""
 
-    level: int
-    weight: int
-    space: str                  # "full" or "cusp"
-    elements: tuple
-    prec: object                # exponent frontier shared by all elements
+    __slots__ = (
+        "level",
+        "weight",
+        "space",        # "full" or "cusp"
+        "elements",
+        "prec",         # exponent frontier shared by all elements
+    )
 
     @property
     def valuations(self):
@@ -122,7 +123,7 @@ def echelonize(forms, expected_dim, prec=None, *, level, weight, space="full"):
 def _check_floor(prec, level, weight):
     """Raise InsufficientPrecision unless prec passes the Sturm bound."""
     floor = sturm_bound(level, weight) + 1
-    if Fraction(prec) < floor:
+    if prec < floor:
         raise InsufficientPrecision(
             f"precision {prec} below the certification floor {floor} "
             f"for weight {weight} level {level}"
@@ -295,7 +296,7 @@ def verify_membership(f, basis):
     avail = _min_prec(f.prec_exponent, basis.prec)
     if avail is None:
         avail = basis.prec
-    if Fraction(avail) < need:
+    if avail < need:
         raise InsufficientPrecision(
             f"membership needs {need} coefficients, only {avail} available"
         )
@@ -323,16 +324,17 @@ def verify_membership(f, basis):
     return tuple(coords)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    level: int
-    half_weight: int
-    ladder_steps: int           # q in k = q*(rho/2) + r
-    base_half_weight: int       # r
-    piece_dims: tuple           # (base dim, then one entry per ladder step)
-    total: int
-    expected: int
-    basis_matches: bool
+class DecompositionReport(Record):
+    __slots__ = (
+        "level",
+        "half_weight",
+        "ladder_steps",         # q in k = q*(rho/2) + r
+        "base_half_weight",     # r
+        "piece_dims",           # (base dim, then one entry per ladder step)
+        "total",
+        "expected",
+        "basis_matches",
+    )
 
 
 def structure_decompose(N, k):

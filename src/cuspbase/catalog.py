@@ -15,9 +15,9 @@ cuspidal eta products of those levels, as the comments on those entries say.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import reduce
 
+from ._record import Record
 from .eisenstein import eisenstein_series, weight2_level_combo
 from .errors import UnsupportedLevel
 from .eta import EtaQuotient, eta_expand
@@ -29,29 +29,34 @@ from .series import QSeries
 from .weierstrass import TorsionPoint, wpa_expand
 
 
-@dataclass(frozen=True)
-class SpanAtom:
+class SpanAtom(Record):
     """A unitary form of the declared valuation; the full spaces are
     spanned by monomials in a level's atoms."""
 
-    name: str
-    expr: object
-    valuation: int              # declared: a sum may cancel its leading terms
-    weight: int = field(init=False)  # expr_weight(expr)
+    __slots__ = (
+        "name",
+        "expr",
+        "valuation",    # declared: a sum may cancel its leading terms
+        "weight",       # derived: expr_weight(expr)
+    )
+    _derived = ("weight",)
 
     def __post_init__(self):
         object.__setattr__(self, "weight", expr_weight(self.expr))
 
 
-@dataclass(frozen=True)
-class LevelCatalog:
-    delta: EtaQuotient
-    generators: dict            # (weight, index) -> expression
-    span_atoms: tuple           # SpanAtom, ...
-    seeds: tuple                # ladder seeds of one weight, valuations 1, 2, ...
-    base_seed: object | None = None  # spans S below weight 2*k0 (level 7 only)
-    identities: tuple = ()      # (check id, lhs, rhs, weight), ...
-    k0: int = field(init=False)  # half the seeds' weight: they build S_{2k}, k >= k0
+class LevelCatalog(Record):
+    __slots__ = (
+        "delta",        # EtaQuotient
+        "generators",   # (weight, index) -> expression
+        "span_atoms",   # SpanAtom, ...
+        "seeds",        # ladder seeds of one weight, valuations 1, 2, ...
+        "base_seed",    # spans S below weight 2*k0 (level 7 only), else None
+        "identities",   # (check id, lhs, rhs, weight), ...
+        "k0",           # derived: half the seeds' weight; they build S_{2k}, k >= k0
+    )
+    _defaults = {"base_seed": None, "identities": ()}
+    _derived = ("k0",)
 
     def __post_init__(self):
         object.__setattr__(self, "k0", expr_weight(self.seeds[0]) // 2)

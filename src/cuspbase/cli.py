@@ -2,8 +2,9 @@
 
 Output is byte-deterministic for fixed inputs; every dump starts with a
 format-version line.  Exit codes: 0 success, 1 verification failure,
-2 usage error (any ValueError), 3 internal invariant violation.  The
-environment variable CUSPBASE_PREC overrides the default precision policy.
+2 usage error (any ValueError) or a request that ran out of memory,
+3 internal invariant violation.  The environment variable CUSPBASE_PREC
+overrides the default precision policy.
 
 ``expand --eta TEXT`` and ``expand --wpa TEXT`` take the argument text of an
 ``eta(...)`` or ``wpa(...)`` atom and read it with the expression parser, so
@@ -14,11 +15,9 @@ as for ``--expr``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import verify as _verify
 from .basis import m_basis, s_basis
 from .catalog import evaluate, get_catalog
 from .dimensions import SUPPORTED_LEVELS, default_prec, dimension_pairs, \
@@ -116,6 +115,8 @@ def cmd_basis(args, out):
     basis = s_basis(N, k, prec) if args.space == "cusp" else m_basis(N, k, prec)
     upto = int(basis.prec)
     if args.format == "jsonl":
+        import json  # only this writer uses it: the other paths start faster
+
         header = {
             "format": FORMAT_VERSION, "kind": "basis", "level": N,
             "weight": w, "space": args.space, "precision": upto,
@@ -158,12 +159,14 @@ def cmd_expand(args, out):
 
 
 def cmd_verify(args, out):
+    from .verify import run_suite  # only this command runs the suite
+
     levels = _parse_levels(args.level)
     for N in levels:
         get_catalog(N)   # raises UnsupportedLevel before the header
     print(f"# {FORMAT_VERSION} verify levels={args.level} suite={args.suite}",
           file=out)
-    results, all_ok = _verify.run_suite(levels, args.suite)
+    results, all_ok = run_suite(levels, args.suite)
     for r in results:
         print(f"{'PASS' if r.ok else 'FAIL'} {r.check_id} {r.detail}", file=out)
     counts = f"{sum(r.ok for r in results)}/{len(results)} checks passed"
@@ -211,6 +214,7 @@ def build_parser():
 
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {
@@ -228,6 +232,12 @@ def main(argv=None, out=None):
             print(text, file=sys.stderr)
             print(" " * exc.position + "^", file=sys.stderr)
         print(f"cuspbase: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        from shlex import join
+
+        print(f"cuspbase: error: out of memory for request: {join(argv)}",
+              file=sys.stderr)
         return 2
     except CuspbaseError as exc:
         print(f"cuspbase: internal invariant violation: "

@@ -17,8 +17,7 @@ condition (iii) through ``ladder_dim_report``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import OddWeight, UnsupportedLevel
 
 # (delta weight, delta valuation) for the catalogued levels
@@ -106,20 +105,14 @@ def genus(N):
     return _invariants(N)[4]
 
 
-@dataclass(frozen=True)
-class LevelProfile:
+class LevelProfile(Record):
     """Invariants of Gamma0(N), its ladder start, and the structuring form's
-    weight and valuation at the catalogued levels."""
+    weight and valuation at the catalogued levels (None elsewhere)."""
 
-    level: int
-    index: int
-    elliptic2: int
-    elliptic3: int
-    cusps: int
-    genus: int
-    delta_weight: int | None
-    delta_valuation: int | None
-    ladder_start: int | None
+    __slots__ = (
+        "level", "index", "elliptic2", "elliptic3", "cusps", "genus",
+        "delta_weight", "delta_valuation", "ladder_start",
+    )
 
 
 def level_profile(N):

@@ -10,86 +10,74 @@ f(tau) -> f(d*tau).  Rational scalars are Const leaves of weight 0.
 Every tree has a well-defined weight, checked structurally: products add
 weights, powers multiply them, and all summands must agree (explicit
 q-expansion literals act as wildcards).
+
+Nodes are immutable records (``_record.Record``): equal when type and
+fields are, and hashed once, so a deep tree is a memo key of O(1) cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .dimensions import DELTA_DATA
 from .errors import UnsupportedLevel, WeightMismatch
 from .eta import EtaQuotient
 from .weierstrass import TorsionPoint
 
 
-@dataclass(frozen=True)
-class Const:
-    value: Fraction
+class Const(Record):
+    __slots__ = ("value",)
 
     def __post_init__(self):
         object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True)
-class Eis:
-    weight: int  # 4 or 6
-    scale: int = 1
+class Eis(Record):
+    __slots__ = ("weight", "scale")  # weight 4 or 6
+    _defaults = {"scale": 1}
 
 
-@dataclass(frozen=True)
-class W2:
+class W2(Record):
     """The weight-2 combination (N E_2(N tau) - E_2(tau)) / (N - 1)."""
 
-    level: int
+    __slots__ = ("level",)
 
 
-@dataclass(frozen=True)
-class Gen:
+class Gen(Record):
     """Reference to the catalogued generator of given weight/level/index."""
 
-    weight: int
-    level: int
-    index: int
+    __slots__ = ("weight", "level", "index")
 
 
-@dataclass(frozen=True)
-class Delta:
+class Delta(Record):
     """Reference to the structuring form of the given level."""
 
-    level: int
+    __slots__ = ("level",)
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(Record):
     """Explicit truncated q-expansion; known through lead+len(coeffs) only."""
 
-    lead: int
-    coeffs: tuple
+    __slots__ = ("lead", "coeffs")
 
 
-@dataclass(frozen=True)
-class Add:
-    terms: tuple
+class Add(Record):
+    __slots__ = ("terms",)
 
 
-@dataclass(frozen=True)
-class Mul:
-    factors: tuple
+class Mul(Record):
+    __slots__ = ("factors",)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+class Pow(Record):
+    __slots__ = ("base", "exponent")
 
 
-@dataclass(frozen=True)
-class Subst:
+class Subst(Record):
     """f(tau) -> f(d tau)."""
 
-    child: object
-    d: int
+    __slots__ = ("child", "d")
 
 
 def expr_weight(expr):

@@ -9,10 +9,10 @@ on failure (which is what makes single-coefficient corruption detectable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog as _catalog
+from ._record import Record
 from .basis import (
     echelonize, m_basis, s_basis, structure_decompose, verify_membership,
 )
@@ -27,11 +27,8 @@ from .expr import Gen, expr_weight, sub, scaled
 from .series import first_mismatch
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    ok: bool
-    detail: str
+class CheckResult(Record):
+    __slots__ = ("check_id", "ok", "detail")
 
 
 # dim S_{2k} rows exactly as tabulated, starting at weight 2

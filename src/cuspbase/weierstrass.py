@@ -24,21 +24,18 @@ slices and loops.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, isqrt
 
+from ._record import Record
 from .errors import LatticePoint
 from .series import _series
 
 
-@dataclass(frozen=True)
-class TorsionPoint:
+class TorsionPoint(Record):
     """z = (a*tau + b)/2 on the lattice (1, N*tau), not a lattice point."""
 
-    a: int
-    b: int
-    level: int
+    __slots__ = ("a", "b", "level")
 
     def __post_init__(self):
         if self.level < 1:

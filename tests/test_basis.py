@@ -1,6 +1,5 @@
 """Echelonization, full/cusp bases, ladder dispatch, membership, decomposition."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -183,7 +182,7 @@ def test_staircase_covers_every_valuation_once():
 def incomplete_span_with_level3_atoms(monkeypatch, atoms, k):
     """The IncompleteSpan that m_basis(3, k) raises with level 3's span
     atoms replaced by ``atoms``."""
-    doctored = dataclasses.replace(get_catalog(3), span_atoms=tuple(atoms))
+    doctored = get_catalog(3).replace(span_atoms=tuple(atoms))
     monkeypatch.setitem(catalog_mod._CATALOGS, 3, doctored)
     catalog_mod.clear_caches()
     try:
@@ -298,7 +297,7 @@ def test_ladder_condition_failure_raises(monkeypatch):
     # rung of the weight-4 base seed (so k0=2) must trip the dimension
     # guard at k=6
     cat = get_catalog(7)
-    doctored = dataclasses.replace(cat, seeds=(cat.base_seed,), base_seed=None)
+    doctored = cat.replace(seeds=(cat.base_seed,), base_seed=None)
     assert doctored.k0 == 2
     monkeypatch.setitem(catalog_mod._CATALOGS, 7, doctored)
     catalog_mod.clear_caches()

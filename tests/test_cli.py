@@ -315,6 +315,17 @@ def test_usage_errors():
     assert code == 2
 
 
+def test_out_of_memory_is_a_usage_error_naming_the_request(monkeypatch, capsys):
+    def exhausted(args, out):
+        raise MemoryError
+
+    monkeypatch.setattr("cuspbase.cli.cmd_expand", exhausted)
+    code, text = run_cli(["expand", "--expr", "E4(1)", "--prec", "100000000"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == ("cuspbase: error: out of memory for request: "
+                                       "expand --expr 'E4(1)' --prec 100000000\n")
+
+
 def test_env_precision_override(monkeypatch):
     monkeypatch.setenv("CUSPBASE_PREC", "12")
     code, text = run_cli(["expand", "--eta", "2:16,1:-8"])
@@ -356,6 +367,19 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert "level 5 dim_S: 0 1 1 3 3 5 5 7" in proc.stdout
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
+    # each is milliseconds of every command's start-up; json is imported by
+    # the one writer that uses it
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; before = set(sys.modules); import cuspbase.cli; "
+            "print(' '.join(sorted({'dataclasses', 'inspect', 'json'} "
+            "& (set(sys.modules) - before))))")
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 def test_basis_bytes_identical_across_processes():

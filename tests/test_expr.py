@@ -76,7 +76,9 @@ def catalogue_expressions():
 
 def test_render_round_trips_every_catalogue_expression():
     for tree in catalogue_expressions():
-        assert parse_expr(render(tree)) == tree, render(tree)
+        again = parse_expr(render(tree))
+        assert again == tree, render(tree)
+        assert hash(again) == hash(tree), render(tree)
 
 
 def test_render_keeps_signs_and_nesting():

@@ -1,6 +1,5 @@
 """The certification suite runner and its individual checks."""
 
-import dataclasses
 import sys
 from collections import Counter
 
@@ -63,7 +62,7 @@ def test_ladder_dims_check_reads_the_catalogue_start(monkeypatch):
     # level 7 with its weight-4 base seed as the only seed starts at k0=2,
     # where the ladder difference is not constant: the check must fail
     cat = get_catalog(7)
-    doctored = dataclasses.replace(cat, seeds=(cat.base_seed,), base_seed=None)
+    doctored = cat.replace(seeds=(cat.base_seed,), base_seed=None)
     assert doctored.k0 == 2
     monkeypatch.setitem(catalog._CATALOGS, 7, doctored)
     result = check_ladder_dims(7)
