@@ -32,12 +32,12 @@ from math import gcd
 from ._record import Record
 from .catalog import MEMO, evaluate, get_catalog
 from .dimensions import (
-    DELTA_DATA, default_prec, dim_cusp, dim_modular, sturm_bound,
+    default_prec, delta_profile, dim_cusp, dim_modular, sturm_bound,
 )
 from .errors import (
     DecompositionMismatch, IncompleteSpan, InsufficientPrecision,
     LadderConditionFailed, NotInSpan, OffGrid, PrecisionExceeded,
-    RankDeficient, RankExcess, UnsupportedLevel,
+    RankDeficient, RankExcess,
 )
 from .expr import Gen, expr_weight, power
 from .series import QSeries, _from_index, _min_prec, _ratio, _series
@@ -347,11 +347,9 @@ def structure_decompose(N, k):
     ``basis_matches`` says whether the union echelonizes to the canonical
     cusp basis.
     """
-    if N not in DELTA_DATA:
-        raise UnsupportedLevel(f"no structuring form catalogued for level {N}")
     if k < 2:
         raise ValueError("decomposition starts at half-weight 2")
-    rho, nu = DELTA_DATA[N]
+    delta, rho, nu = delta_profile(N)
     half = rho // 2
     r = (k - 2) % half + 2
     q = (k - r) // half
@@ -365,7 +363,6 @@ def structure_decompose(N, k):
             f"dimension formula says {expected}"
         )
     target = default_prec(N, 2 * k)
-    delta = get_catalog(N).delta
     rows = []
     for n in range(q + 1):
         low = s_basis(N, k - n * half, target - n * nu)

@@ -1,11 +1,13 @@
 """Per-level data: one record per level, holding everything stated about it.
 
-Levels 1..10 each carry the eta quotient of their structuring form, the
-low-weight generator family expressed over eta / Eisenstein / Weierstrass
-atoms, the cuspidal ladder seeds, the atom list whose monomials span the
-full spaces, and the identity pairs checking one form two ways.  The ladder
-start k0 and the atom weights are read off the expressions, not restated.
-The evaluator turns any expression tree into an exact QSeries.
+Levels 1..10 each carry the low-weight generator family expressed over
+eta / Eisenstein / Weierstrass atoms, the cuspidal ladder seeds, the atom
+list whose monomials span the full spaces, and the identity pairs checking
+one form two ways.  The ladder start k0 and the atom weights are read off
+the expressions, not restated, and the structuring form delta_N is derived
+from the level (``dimensions.delta_profile``): a Delta reference resolves
+to it at every catalogued level.  The evaluator turns any expression tree
+into an exact QSeries.
 
 Two seeds have no closed form stated over the available atoms (level 3 at
 weight 6, level 6 at weight 4); they are completed with the classical
@@ -18,6 +20,7 @@ import operator
 from functools import reduce
 
 from ._record import Record
+from .dimensions import delta_profile
 from .eisenstein import eisenstein_series, weight2_level_combo
 from .errors import UnsupportedLevel
 from .eta import EtaQuotient, eta_expand
@@ -47,7 +50,6 @@ class SpanAtom(Record):
 
 class LevelCatalog(Record):
     __slots__ = (
-        "delta",        # EtaQuotient
         "generators",   # (weight, index) -> expression
         "span_atoms",   # SpanAtom, ...
         "seeds",        # ladder seeds of one weight, valuations 1, 2, ...
@@ -73,7 +75,7 @@ def _build_catalogs():
 
     # -- level 1: Eisenstein monomials, no weight-2 form exists ----------
     cats[1] = LevelCatalog(
-        delta=eta((1, 24)), generators={},
+        generators={},
         span_atoms=(
             SpanAtom("E4_1", Eis(4, 1), 0),
             SpanAtom("E6_1", Eis(6, 1), 0),
@@ -90,7 +92,7 @@ def _build_catalogs():
     }
     f82 = mul(sub(Gen(4, 2, 0), scaled(64, 1, Gen(4, 2, 1))), Gen(4, 2, 1))
     cats[2] = LevelCatalog(
-        delta=eta((2, 16), (1, -8)), generators=g2,
+        generators=g2,
         span_atoms=(
             SpanAtom("E2_2_0", Gen(2, 2, 0), 0),
             SpanAtom("delta_2", Delta(2), 1),
@@ -106,7 +108,7 @@ def _build_catalogs():
     # reconstructed: the generator E2_3_0 (the weight-2 combination) and the
     # seed F6_3_1 (the cuspidal eta product of the level)
     cats[3] = LevelCatalog(
-        delta=eta((3, 18), (1, -6)), generators={(2, 0): W2(3)},
+        generators={(2, 0): W2(3)},
         span_atoms=(
             SpanAtom("E2_3_0", Gen(2, 3, 0), 0),
             SpanAtom("E4_3_1", scaled(1, 240, sub(Eis(4, 1), Eis(4, 3))), 1),
@@ -121,7 +123,7 @@ def _build_catalogs():
         (2, 1): Delta(4),
     }
     cats[4] = LevelCatalog(
-        delta=eta((4, 8), (2, -4)), generators=g4,
+        generators=g4,
         span_atoms=(
             SpanAtom("E2_4_0", Gen(2, 4, 0), 0),
             SpanAtom("E2_4_1", Gen(2, 4, 1), 1),
@@ -143,7 +145,7 @@ def _build_catalogs():
         (4, 2): Delta(5),
     }
     cats[5] = LevelCatalog(
-        delta=eta((5, 10), (1, -2)), generators=g5,
+        generators=g5,
         span_atoms=(
             SpanAtom("E2_5_0", Gen(2, 5, 0), 0),
             SpanAtom("E4_5_1", Gen(4, 5, 1), 1),
@@ -165,7 +167,7 @@ def _build_catalogs():
         (2, 2): Delta(6),
     }
     cats[6] = LevelCatalog(
-        delta=eta((1, 2), (2, -4), (3, -6), (6, 12)), generators=g6,
+        generators=g6,
         span_atoms=tuple(
             SpanAtom(f"E2_6_{s}", Gen(2, 6, s), s) for s in (0, 1, 2)
         ),
@@ -209,7 +211,7 @@ def _build_catalogs():
     f47 = sub(Gen(4, 7, 1), scaled(6, 1, Gen(4, 7, 2)))
     f67 = mul(f47, Gen(2, 7, 0))
     cats[7] = LevelCatalog(
-        delta=eta((7, 14), (1, -2)), generators=g7,
+        generators=g7,
         span_atoms=(
             SpanAtom("E2_7_0", Gen(2, 7, 0), 0),
             SpanAtom("E4_7_1", Gen(4, 7, 1), 1),
@@ -238,7 +240,7 @@ def _build_catalogs():
     for s, prod in enumerate(_products_of_weight2(8)):
         g8[(4, s)] = prod
     cats[8] = LevelCatalog(
-        delta=eta((8, 8), (4, -4)), generators=g8,
+        generators=g8,
         span_atoms=tuple(
             SpanAtom(f"E2_8_{s}", Gen(2, 8, s), s) for s in (0, 1, 2)
         ),
@@ -260,7 +262,7 @@ def _build_catalogs():
     for s, prod in enumerate(_products_of_weight2(9)):
         g9[(4, s)] = prod
     cats[9] = LevelCatalog(
-        delta=eta((9, 6), (3, -2)), generators=g9,
+        generators=g9,
         span_atoms=tuple(
             SpanAtom(f"E2_9_{s}", Gen(2, 9, s), s) for s in (0, 1, 2)
         ),
@@ -291,7 +293,7 @@ def _build_catalogs():
     g10[(4, 6)] = Delta(10)
     e = {s: Gen(4, 10, s) for s in range(1, 7)}
     cats[10] = LevelCatalog(
-        delta=eta((1, 2), (2, -4), (5, -10), (10, 20)), generators=g10,
+        generators=g10,
         span_atoms=(
             SpanAtom("E2_10_0", Gen(2, 10, 0), 0),
             SpanAtom("E2_10_1", Gen(2, 10, 1), 1),
@@ -317,6 +319,8 @@ def _build_catalogs():
 
 
 _CATALOGS = _build_catalogs()
+
+SUPPORTED_LEVELS = tuple(sorted(_CATALOGS))
 
 
 def get_catalog(N):
@@ -444,7 +448,7 @@ def _catalogued(ref):
     """The catalogued expression a Gen or Delta reference stands for."""
     cat = get_catalog(ref.level)
     if isinstance(ref, Delta):
-        return cat.delta
+        return delta_profile(ref.level)[0]
     body = cat.generators.get((ref.weight, ref.index))
     if body is None:
         raise UnsupportedLevel(

@@ -19,9 +19,8 @@ import os
 import sys
 
 from .basis import m_basis, s_basis
-from .catalog import evaluate, get_catalog
-from .dimensions import SUPPORTED_LEVELS, default_prec, dimension_pairs, \
-    sturm_bound
+from .catalog import SUPPORTED_LEVELS, evaluate, get_catalog
+from .dimensions import default_prec, dimension_pairs, sturm_bound
 from .errors import CuspbaseError, ExprSyntaxError
 from .eta import eta_expand
 from .expr import _frac_str, render

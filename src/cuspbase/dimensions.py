@@ -13,28 +13,23 @@ there is none (N = 26).  k0 = 1 counts, so a genus-1 level with no
 elliptic points (N = 11) starts at 1.  The runtime reads the catalogue's
 k0 (half the seeds' weight); the structure checks certify it against
 condition (iii) through ``ladder_dim_report``.
+
+The structuring form is derived too: ``delta_profile(N)`` is the eta
+quotient delta_N of least weight rho that vanishes only at infinity, and its
+order nu there, read off Ligozat's cusp orders and one factorisation of N,
+at every level.  The dims:shift law and the delta-power decompositions read
+their (rho, nu) from it.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import cache
+from math import lcm
+
 from ._record import Record
 from .errors import OddWeight, UnsupportedLevel
-
-# (delta weight, delta valuation) for the catalogued levels
-DELTA_DATA = {
-    1: (12, 1),
-    2: (4, 1),
-    3: (6, 2),
-    4: (2, 1),
-    5: (4, 2),
-    6: (2, 2),
-    7: (6, 4),
-    8: (2, 2),
-    9: (2, 2),
-    10: (4, 6),
-}
-
-SUPPORTED_LEVELS = tuple(sorted(DELTA_DATA))
+from .eta import EtaQuotient
 
 
 def _factorization(n):
@@ -55,12 +50,17 @@ def _factorization(n):
     return out
 
 
+def _level_primes(N):
+    """``_factorization(N)`` of a level, which must be a positive integer."""
+    if not isinstance(N, int) or N < 1:
+        raise UnsupportedLevel(f"level must be a positive integer, got {N}")
+    return _factorization(N)
+
+
 def _invariants(N):
     """(index, elliptic2, elliptic3, cusps, genus) of Gamma0(N), every one
     read off the same trial-division pass over N."""
-    if not isinstance(N, int) or N < 1:
-        raise UnsupportedLevel(f"level must be a positive integer, got {N}")
-    primes = _factorization(N)
+    primes = _level_primes(N)
     index = N
     for p, _ in primes:
         index = index // p * (p + 1)
@@ -105,9 +105,53 @@ def genus(N):
     return _invariants(N)[4]
 
 
+@cache
+def delta_profile(N):
+    """(delta_N, rho, nu): the eta quotient of least weight rho that
+    vanishes only at infinity, and its order nu there.
+
+    By Ligozat's formula the order of prod_m eta(m tau)^r_m at a cusp c/d,
+    d | N, is (N/24) sum_m gcd(d,m)^2 r_m / (gcd(d,N/d) d m), linear in r.
+    Over the prime powers p^e || N the matrix is 1/24 times the Kronecker
+    product of the (e+1)x(e+1) matrices p^(e - min(a,e-a)) p^-|a-b|: a
+    diagonal times the matrix p^-|a-b|, whose inverse is tridiagonal.  So
+    the exponents x with orders 0 at every cusp but infinity and 1 there
+    are nonzero only at m = N/s for squarefree s, where
+    x_{N/s} = mu(s)/s * (24/N) prod_{p|N} p^2/(p^2 - 1).
+    delta_N is nu x for the least nu that makes the exponents integers
+    passing Ligozat's conditions for trivial character: the weight
+    sum r_m / 2 even, and prod m^r_m a square (sum r_m v_p(m) even for each
+    p).  With D the least common denominator of x, nu is a multiple of D;
+    at nu = 4D every exponent is a multiple of 4 and both conditions hold,
+    so nu <= 4D and every level has its form.  rho is read off the valence
+    count 12 nu = rho [SL2(Z):Gamma0(N)], not off the exponents, so the
+    quotient's own weight stays a second route to it.
+    """
+    primes = _level_primes(N)
+    index, scale = N, Fraction(24, N)
+    for p, _ in primes:
+        index = index // p * (p + 1)
+        scale *= Fraction(p * p, p * p - 1)
+    x = {N: scale}
+    for p, _ in primes:
+        x |= {m // p: -v / p for m, v in x.items()}
+    base = lcm(*(v.denominator for v in x.values()))
+    for nu in range(base, 5 * base, base):
+        r = {m: int(v * nu) for m, v in x.items()}
+        # v_p(N/s) is e, or e - 1 when p | s
+        if sum(r.values()) % 4 == 0 and all(
+                sum(rm * (e if m % p ** e == 0 else e - 1)
+                    for m, rm in r.items()) % 2 == 0
+                for p, e in primes):
+            break
+    rho, rest = divmod(12 * nu, index)
+    assert rest == 0
+    return EtaQuotient(r), rho, nu
+
+
 class LevelProfile(Record):
-    """Invariants of Gamma0(N), its ladder start, and the structuring form's
-    weight and valuation at the catalogued levels (None elsewhere)."""
+    """Invariants of Gamma0(N), its ladder start, and the weight and
+    valuation of its structuring form, derived by ``delta_profile``."""
 
     __slots__ = (
         "level", "index", "elliptic2", "elliptic3", "cusps", "genus",
@@ -117,7 +161,7 @@ class LevelProfile(Record):
 
 def level_profile(N):
     index, e2, e3, cusps, g = _invariants(N)
-    rho, nu = DELTA_DATA.get(N, (None, None))
+    _, rho, nu = delta_profile(N)
     return LevelProfile(
         level=N,
         index=index,
@@ -180,12 +224,12 @@ def dim_shift_report(N, k_max):
 
     The difference must equal nu for k >= 2 and nu - 1 for k = 1.  Returns
     one (k, expected, actual, ok) row per k in 1..k_max, every dimension
-    read off one ``dimension_pairs`` row.
+    read off one ``dimension_pairs`` row of the 2 k_max weights compared,
+    however large rho is.
     """
-    if N not in DELTA_DATA:
-        raise UnsupportedLevel(f"no delta profile for level {N}")
-    rho, nu = DELTA_DATA[N]
-    pairs = _pairs_by_weight(N, k_max + rho // 2)
+    _, rho, nu = delta_profile(N)
+    weights = [w for k in range(1, k_max + 1) for w in (2 * k, 2 * k + rho)]
+    pairs = dict(zip(weights, dimension_pairs(N, weights)))
     rows = []
     for k in range(1, k_max + 1):
         expected = nu if k >= 2 else nu - 1

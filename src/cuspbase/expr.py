@@ -2,8 +2,9 @@
 
 Leaves are eta quotients (``EtaQuotient``), Eisenstein atoms, weight-2 level
 combinations, Weierstrass values at torsion points (``TorsionPoint``),
-explicit truncated q-expansions, and references into the per-level catalogue
-(generators and the structuring delta form).
+explicit truncated q-expansions, and references to the catalogued
+generators and to the structuring form delta_N, which
+``dimensions.delta_profile`` derives from the level.
 Internal nodes are sums, products, integer powers and the scaling map
 f(tau) -> f(d*tau).  Rational scalars are Const leaves of weight 0.
 
@@ -20,8 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .dimensions import DELTA_DATA
-from .errors import UnsupportedLevel, WeightMismatch
+from .dimensions import delta_profile
+from .errors import WeightMismatch
 from .eta import EtaQuotient
 from .weierstrass import TorsionPoint
 
@@ -83,9 +84,9 @@ class Subst(Record):
 def expr_weight(expr):
     """Structural weight of an expression; None when undetermined.
 
-    A Delta reference weighs what ``DELTA_DATA`` records for its level
-    (UnsupportedLevel when none is).  Raises WeightMismatch when summands
-    disagree.
+    A Delta reference weighs the rho that ``delta_profile`` derives for its
+    level (UnsupportedLevel when the level is not a positive integer).
+    Raises WeightMismatch when summands disagree.
     """
     if isinstance(expr, Const):
         return 0 if expr.value != 0 else None
@@ -101,10 +102,7 @@ def expr_weight(expr):
     if isinstance(expr, Gen):
         return expr.weight
     if isinstance(expr, Delta):
-        if expr.level not in DELTA_DATA:
-            raise UnsupportedLevel(
-                f"no structuring form catalogued for level {expr.level}")
-        return DELTA_DATA[expr.level][0]
+        return delta_profile(expr.level)[1]
     if isinstance(expr, Lit):
         return None
     if isinstance(expr, Add):

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .catalog import _catalogued
-from .dimensions import DELTA_DATA
+from .catalog import SUPPORTED_LEVELS, _catalogued
 from .errors import ExprSyntaxError, UnknownAtom
 from .eta import EtaQuotient
 from .expr import Add, Const, Delta, Eis, Gen, Lit, Mul, Pow, Subst, W2
@@ -206,7 +205,7 @@ class _Parser:
             n = self._int()
             return self._valid_at(start, TorsionPoint, a, b, n)
         if name == "delta":
-            return Delta(self._checked_int(lambda x: x in DELTA_DATA,
+            return Delta(self._checked_int(lambda x: x in SUPPORTED_LEVELS,
                                            "no structuring form at that level"))
         if name == "qser":
             lead = self._int()

@@ -14,7 +14,7 @@ from cuspbase.catalog import (
 )
 from cuspbase.cli import main
 from cuspbase.dimensions import (
-    DELTA_DATA, count_cusps, dim_cusp, dim_modular, dim_shift_report,
+    count_cusps, delta_profile, dim_cusp, dim_modular, dim_shift_report,
     ladder_dim_report,
 )
 from cuspbase.eisenstein import weight2_level_combo
@@ -54,7 +54,7 @@ def test_criterion_3_cross_representation_identities():
     squared = evaluate(
         scaled(1, 16, Pow(sub(TorsionPoint(2, 0, 5), TorsionPoint(4, 0, 5)), 2)),
         depth)
-    assert first_mismatch(squared, evaluate(get_catalog(5).delta, depth)) is None
+    assert first_mismatch(squared, evaluate(delta_profile(5)[0], depth)) is None
     # the lambda-combination vs the torsion value at level 2
     combo = weight2_level_combo(2, 16)
     assert first_mismatch(
@@ -65,7 +65,7 @@ def test_criterion_3_cross_representation_identities():
     # the level-2 seed in product form equals its eta form
     f82 = evaluate(get_catalog(2).seeds[0], 12)
     assert first_mismatch(f82, eta_expand(
-        get_catalog(2).delta * _eta8(), 12)) is None
+        delta_profile(2)[0] * _eta8(), 12)) is None
     # plus the rest of the catalogued identity corpus
     count = 4
     for n in range(1, 11):
@@ -93,7 +93,8 @@ def test_criterion_4_structure_suite():
         assert get_catalog(n).k0 == k0
         rows, constant_ok, _ = ladder_dim_report(n, k0)
         assert constant_ok and all(ok for *_, ok in rows), f"ladder at level {n}"
-    for n, (rho, nu) in DELTA_DATA.items():
+    for n in range(1, 11):
+        _, rho, nu = delta_profile(n)
         for k in range(rho // 2 + 2, rho // 2 + 9):
             vals = s_basis(n, k).valuations
             for s in range(1, nu + 1):

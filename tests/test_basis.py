@@ -13,7 +13,9 @@ from cuspbase.basis import (
     verify_membership,
 )
 from cuspbase.catalog import SpanAtom, evaluate, get_catalog
-from cuspbase.dimensions import default_prec, dim_cusp, dim_modular
+from cuspbase.dimensions import (
+    default_prec, delta_profile, dim_cusp, dim_modular,
+)
 from cuspbase.eisenstein import eisenstein_series
 from cuspbase.errors import (
     IncompleteSpan, InsufficientPrecision, LadderConditionFailed, NotInSpan,
@@ -392,12 +394,11 @@ def test_delta_multiplication_lands_above_valuation():
     # multiplying the cusp basis by the structuring form lands in the next
     # ladder space, above its valuation
     for n in (2, 5, 7):
-        rho, nu, k0 = (get_catalog(n).delta.weight,
-                       get_catalog(n).delta.valuation,
-                       get_catalog(n).k0)
+        quotient, rho, nu = delta_profile(n)
+        k0 = get_catalog(n).k0
         low = s_basis(n, k0)
         high = s_basis(n, k0 + rho // 2)
-        delta = evaluate(get_catalog(n).delta, int(high.prec))
+        delta = evaluate(quotient, int(high.prec))
         for e in low.elements:
             prod = delta * e
             assert prod.valuation() > nu

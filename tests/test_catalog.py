@@ -7,9 +7,10 @@ from conftest import series_coeffs
 from cuspbase.catalog import (
     catalog_identities, eta_leaves, evaluate, get_catalog, named_forms,
 )
-from cuspbase.dimensions import DELTA_DATA, default_prec, dim_cusp, ladder_start
+from cuspbase.dimensions import (
+    default_prec, delta_profile, dim_cusp, ladder_start,
+)
 from cuspbase.errors import UnsupportedLevel
-from cuspbase.eta import eta_profile
 from cuspbase.expr import expr_weight
 from cuspbase.parse import parse_expr
 from cuspbase.series import first_mismatch
@@ -21,11 +22,6 @@ def test_unsupported_level():
         get_catalog(11)
     with pytest.raises(UnsupportedLevel):
         get_catalog(26)
-
-
-def test_delta_profiles_match_catalog():
-    for n, (rho, nu) in DELTA_DATA.items():
-        assert eta_profile(get_catalog(n).delta) == (rho, nu)
 
 
 def test_generators_unitary_with_valuation_index():
@@ -101,7 +97,7 @@ def test_eta_leaves_inventory():
     quotients = set(q for _, q in eta_leaves())
     # every structuring form appears among the catalogue's eta leaves
     for n in range(1, 11):
-        assert get_catalog(n).delta in quotients
+        assert delta_profile(n)[0] in quotients
     assert len(leaves) == len(eta_leaves())
 
 

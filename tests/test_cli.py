@@ -360,7 +360,7 @@ def test_readme_examples_print_the_recorded_bytes():
 def test_module_invocation():
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-m", "cuspbase", "dims", "--level", "5",
+        [sys.executable, "-B", "-m", "cuspbase", "dims", "--level", "5",
          "--weights", "2..16"],
         capture_output=True, text=True,
         env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
@@ -384,7 +384,7 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
 
 def test_basis_bytes_identical_across_processes():
     root = Path(__file__).resolve().parents[1]
-    argv = [sys.executable, "-m", "cuspbase", "basis", "--level", "10",
+    argv = [sys.executable, "-B", "-m", "cuspbase", "basis", "--level", "10",
             "--weight", "8", "--space", "cusp", "--format", "jsonl"]
     env = {"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"}
     first = subprocess.run(argv, capture_output=True, env=env)

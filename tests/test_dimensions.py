@@ -1,5 +1,6 @@
 """Level invariants, dimension formulas, Sturm bounds, shift identities."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -7,11 +8,12 @@ import pytest
 from cuspbase import dimensions
 from cuspbase.catalog import get_catalog
 from cuspbase.dimensions import (
-    DELTA_DATA, count_cusps, default_prec, dim_cusp, dim_modular,
+    count_cusps, default_prec, delta_profile, dim_cusp, dim_modular,
     dim_shift_report, group_index, ladder_dim_report, ladder_start,
     level_profile, sturm_bound,
 )
 from cuspbase.errors import OddWeight, UnsupportedLevel
+from cuspbase.eta import EtaQuotient
 from cuspbase.verify import PRINTED_TABLES
 
 PROFILES = {
@@ -26,6 +28,21 @@ PROFILES = {
     8: (12, 0, 0, 4, 0),
     9: (12, 0, 0, 4, 0),
     10: (18, 2, 0, 4, 0),
+}
+
+# (eta exponents, rho, nu) of delta_N at the catalogued levels, written out
+# by hand as reference data for delta_profile
+DELTA_REFERENCE = {
+    1: ({1: 24}, 12, 1),
+    2: ({2: 16, 1: -8}, 4, 1),
+    3: ({3: 18, 1: -6}, 6, 2),
+    4: ({4: 8, 2: -4}, 2, 1),
+    5: ({5: 10, 1: -2}, 4, 2),
+    6: ({1: 2, 2: -4, 3: -6, 6: 12}, 2, 2),
+    7: ({7: 14, 1: -2}, 6, 4),
+    8: ({8: 8, 4: -4}, 2, 2),
+    9: ({9: 6, 3: -2}, 2, 2),
+    10: ({1: 2, 2: -4, 5: -10, 10: 20}, 4, 6),
 }
 
 # the ladder starts of the catalogued levels, as the acceptance suite pins them
@@ -46,8 +63,10 @@ def test_profile_examples():
     assert (p.index, p.elliptic2, p.elliptic3, p.cusps, p.genus) == (1, 1, 1, 1, 0)
     p = level_profile(7)
     assert (p.delta_weight, p.delta_valuation) == (6, 4)
-    assert level_profile(26).genus == 2
-    assert level_profile(26).delta_weight is None
+    p = level_profile(26)
+    assert p.genus == 2
+    # delta_26 is derived like every other level's: weight 12, order 42
+    assert (p.delta_weight, p.delta_valuation) == (12, 42)
     with pytest.raises(UnsupportedLevel):
         level_profile(0)
 
@@ -106,6 +125,10 @@ def test_each_formula_factorises_the_level_once(monkeypatch):
                 passes.clear()
                 formula(N, w)
                 assert passes == [N], (formula.__name__, N, w)
+        delta_profile.cache_clear()
+        passes.clear()
+        delta_profile(N)
+        assert passes == [N], ("delta_profile", N)
 
 
 def test_codimension_is_cusp_count():
@@ -129,9 +152,10 @@ def test_dim_shift_identity():
 
 def test_dim_shift_report_factorises_the_level_once(monkeypatch):
     # the rows are the per-k dim_cusp differences, read off one pass over N
+    # once delta_profile, itself one pass, has kept the level's (rho, nu)
     differences = {
         N: [dim_cusp(N, 2 * k + rho) - dim_cusp(N, 2 * k) for k in range(1, 51)]
-        for N, (rho, _) in DELTA_DATA.items()
+        for N, (_, rho, _) in DELTA_REFERENCE.items()
     }
     passes = []
     factorization = dimensions._factorization
@@ -142,6 +166,10 @@ def test_dim_shift_report_factorises_the_level_once(monkeypatch):
 
     monkeypatch.setattr(dimensions, "_factorization", counting)
     for N in range(1, 11):
+        delta_profile.cache_clear()
+        passes.clear()
+        delta_profile(N)
+        assert passes == [N], N
         passes.clear()
         rows = dim_shift_report(N, 50)
         assert passes == [N], N
@@ -203,9 +231,8 @@ def test_ladder_start_one_counts():
     # genus 1, no elliptic points: the weight-2 form starts the ladder
     assert ladder_start(11) == 1
     assert level_profile(11).ladder_start == 1
-    for n in (11, 26):
-        p = level_profile(n)
-        assert (p.delta_weight, p.delta_valuation) == (None, None)
+    p = level_profile(11)
+    assert (p.delta_weight, p.delta_valuation) == (10, 10)
 
 
 def test_ladder_start_search_through_one_period_is_enough():
@@ -246,5 +273,82 @@ def test_delta_valuation_fills_its_weights_sturm_count():
     # rho * [SL2(Z):Gamma0(N)] = 12 nu, so lifting by delta^n adds n*nu to
     # both the Sturm bound and the valuation: structure_decompose relies on
     # default_prec(N, 2k) - n*nu >= default_prec(N, 2k - n*rho)
-    for n, (rho, nu) in DELTA_DATA.items():
+    for n in range(1, 11):
+        _, rho, nu = delta_profile(n)
         assert rho * group_index(n) == 12 * nu, n
+
+
+def test_delta_profile_matches_the_reference_data():
+    for n, (terms, rho, nu) in DELTA_REFERENCE.items():
+        assert delta_profile(n) == (EtaQuotient(terms), rho, nu), n
+
+
+def _valuation(p, n):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _ligozat_order(N, d, terms):
+    """Order at a cusp c/d of prod eta(m tau)^r_m, straight from Ligozat's
+    formula (N/24) sum_m gcd(d,m)^2 r_m / (gcd(d,N/d) d m)."""
+    return Fraction(N, 24) * sum(
+        Fraction(gcd(d, m) ** 2 * r, gcd(d, N // d) * d * m) for m, r in terms)
+
+
+def _passes_ligozat(N, terms):
+    """Integer exponents on divisors of N, the two congruences mod 24, even
+    weight, and prod m^r_m a square."""
+    primes = [p for p in range(2, N + 1)
+              if N % p == 0 and all(p % q for q in range(2, p))]
+    return (all(N % m == 0 for m, _ in terms)
+            and sum(m * r for m, r in terms) % 24 == 0
+            and sum(N // m * r for m, r in terms) % 24 == 0
+            and sum(r for _, r in terms) % 4 == 0
+            and all(sum(r * _valuation(p, m) for m, r in terms) % 2 == 0
+                    for p in primes))
+
+
+def test_delta_profile_against_ligozat_at_every_cusp():
+    # delta_N vanishes at infinity alone, to the whole valence count, and no
+    # smaller order of vanishing gives an eta quotient passing Ligozat's
+    # conditions; every such quotient is a rational multiple of delta_N's
+    # exponents, as the orders are linear in them
+    for N in range(1, 61):
+        quotient, rho, nu = delta_profile(N)
+        divisors = [d for d in range(1, N + 1) if N % d == 0]
+        orders = [_ligozat_order(N, d, quotient.terms) for d in divisors]
+        assert orders == [0] * (len(divisors) - 1) + [nu], N
+        assert quotient.valuation == nu and quotient.weight == rho, N
+        assert _passes_ligozat(N, quotient.terms), N
+        assert 12 * nu == rho * group_index(N), N
+        for smaller in range(1, nu):
+            terms = [(m, Fraction(r * smaller, nu)) for m, r in quotient.terms]
+            if all(r.denominator == 1 for _, r in terms):
+                assert not _passes_ligozat(
+                    N, [(m, int(r)) for m, r in terms]), (N, smaller)
+        assert all(ok for *_, ok in dim_shift_report(N, 30)), N
+
+
+def test_delta_profile_at_large_levels():
+    # a prime p > 3 has delta_p = eta(p tau)^2p / eta(tau)^2, of weight
+    # p - 1 and order (p^2 - 1)/12; each level is one factorisation
+    p = 1000000007
+    assert delta_profile(p) == (EtaQuotient({1: -2, p: 2 * p}), p - 1,
+                                (p * p - 1) // 12)
+    # the shift law reads 2 k_max weights however large rho is
+    assert all(ok for *_, ok in dim_shift_report(p, 5))
+    # 2^6 3^3 5^2 7 11 13 17: 1344 divisors, 2^7 of them carry an exponent
+    N = 735134400
+    quotient, rho, nu = delta_profile(N)
+    assert len(quotient.terms) == 128
+    assert quotient.valuation == nu and quotient.weight == rho
+    assert 12 * nu == rho * group_index(N)
+
+
+def test_delta_profile_needs_a_positive_level():
+    for N in (0, -4):
+        with pytest.raises(UnsupportedLevel):
+            delta_profile(N)

@@ -9,6 +9,7 @@ from conftest import series_coeffs
 from cuspbase.catalog import (
     MEMO, catalog_identities, clear_caches, evaluate, get_catalog, named_forms,
 )
+from cuspbase.dimensions import delta_profile
 from cuspbase.errors import (
     ExprSyntaxError, UnknownAtom, UnsupportedLevel, WeightMismatch,
 )
@@ -68,7 +69,7 @@ def catalogue_expressions():
     for n in range(1, 11):
         cat = get_catalog(n)
         out += list(named_forms(n).values()) + list(cat.generators.values())
-        out += [cat.delta] + [a.expr for a in cat.span_atoms]
+        out += [delta_profile(n)[0]] + [a.expr for a in cat.span_atoms]
         for _, lhs, rhs, _ in catalog_identities(n):
             out += [lhs, rhs]
     return out
@@ -233,8 +234,12 @@ def test_weight_checking():
     assert expr_weight(parse_expr("qser(0: 1,2)")) is None
     with pytest.raises(WeightMismatch):
         expr_weight(parse_expr("E4(1)+E6(1)"))
+    # every level has a structuring form, catalogued or not
+    assert expr_weight(Delta(11)) == 10
     with pytest.raises(UnsupportedLevel):
-        expr_weight(Delta(11))
+        evaluate(Delta(11), 4)
+    with pytest.raises(UnsupportedLevel):
+        expr_weight(Delta(0))
     with pytest.raises(WeightMismatch):
         evaluate(parse_expr("delta(2)+E[2,2,0]"), 6)
 
