@@ -326,7 +326,8 @@ SUPPORTED_LEVELS = tuple(sorted(_CATALOGS))
 def get_catalog(N):
     cat = _CATALOGS.get(N)
     if cat is None:
-        raise UnsupportedLevel(f"level {N} is outside the catalogued range 1..10")
+        raise UnsupportedLevel(f"level {N} is outside the catalogued range "
+                               f"{SUPPORTED_LEVELS[0]}..{SUPPORTED_LEVELS[-1]}")
     return cat
 
 

@@ -5,7 +5,8 @@ counts via quadratic residues, cusp count, genus), with no genus-zero
 shortcuts, so the module stays honest for levels beyond the catalogue.
 Each invariant is a product over the prime powers of N, and a formula
 reads all the invariants it needs off one trial-division pass
-(``_factorization``), so a level near 10^9 costs milliseconds.
+(``_factorization``), so a level near 10^9 costs milliseconds, and the pass
+is made once per level (``_invariants`` keeps its result).
 
 The ladder start k0 is derived, not recorded: ``ladder_start(N)`` is the
 smallest k0 >= 1 at which the paper's condition (iii) holds, ``None`` when
@@ -24,7 +25,7 @@ their (rho, nu) from it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import lcm
 
 from ._record import Record
@@ -57,9 +58,12 @@ def _level_primes(N):
     return _factorization(N)
 
 
+@lru_cache(maxsize=None, typed=True)
 def _invariants(N):
     """(index, elliptic2, elliptic3, cusps, genus) of Gamma0(N), every one
-    read off the same trial-division pass over N."""
+    read off the same trial-division pass over N, which is made once per
+    level: the tuple is kept.  The cache is typed, so a level of another
+    type equal to a kept int (10.0) is still checked and refused."""
     primes = _level_primes(N)
     index = N
     for p, _ in primes:

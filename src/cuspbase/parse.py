@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .catalog import SUPPORTED_LEVELS, _catalogued
+from .catalog import _catalogued, get_catalog
 from .errors import ExprSyntaxError, UnknownAtom
 from .eta import EtaQuotient
 from .expr import Add, Const, Delta, Eis, Gen, Lit, Mul, Pow, Subst, W2
@@ -205,8 +205,13 @@ class _Parser:
             n = self._int()
             return self._valid_at(start, TorsionPoint, a, b, n)
         if name == "delta":
-            return Delta(self._checked_int(lambda x: x in SUPPORTED_LEVELS,
-                                           "no structuring form at that level"))
+            # every level has its structuring form, but only a catalogued
+            # one evaluates: get_catalog names the range at the number
+            self._skip_ws()
+            at = self.pos
+            level = self._int()
+            self._valid_at(at, get_catalog, level)
+            return Delta(level)
         if name == "qser":
             lead = self._int()
             self.expect(":")

@@ -12,18 +12,24 @@ int numerators ``nums`` over one denominator ``den`` > 0, gcd(den, *nums) ==
 1, so each value has one form and arithmetic is int work on ``nums``; read
 out, a coefficient is an int when integral, else a ``fractions.Fraction``.
 
-A product is computed only below its frontier.  When the shorter known run
-has at least ``_KRONECKER_MIN`` slots, it is one big-integer product by
-Kronecker substitution (D. Harvey, arXiv:0712.4046); any other product is a
-schoolbook convolution.  Both give the same numerators, and ``_convolve``
-is the one place that chooses between them.  The Kronecker product packs
-each run once, and a square packs its one run once and squares the
-integer.  Every slot holds its coefficient in two's complement: XOR with
-the integer T that has the top bit of every slot set, then subtracting T,
-turns the slots into the signed sum, and adding T, then XOR with T, turns
-the product back.  A slot of at most 8 bytes is rounded up to a machine
-word of 1, 2, 4 or 8 bytes and a run's bytes come from one ``array`` call;
-a wider slot's bytes come from one ``to_bytes`` call per coefficient.
+A product is computed only below its frontier, in one of three forms
+that ``_convolve`` chooses by the shorter known run's length.  From
+``_KS2_MIN`` slots it is a Kronecker product at two points (D. Harvey,
+arXiv:0712.4046, "KS2"): the even-index and odd-index coefficients of each
+run are packed apart into slots of exactly the bytes the width bound
+needs, evaluated at plus and minus half a slot, and two products of half
+the length replace one (``_kronecker2``).  From ``_KRONECKER_MIN`` slots it
+is one big-integer product by Kronecker substitution at one point, with
+slots rounded up to a machine word (``_kronecker``).  Below that it is a
+schoolbook convolution, and a run of one slot scales the other run.  All
+give the same numerators.  A square packs its one run once.  Every slot
+holds its coefficient in two's complement: XOR with the integer T that has
+the top bit of every slot set, then subtracting T, turns the slots into
+the signed sum, and adding T, then XOR with T, turns the product back.  A
+slot of at most 8 bytes comes from one ``array`` call on machine words,
+cut down to its bytes by strided copies when it is narrower than its
+word; a wider slot's bytes come from one ``to_bytes`` call per
+coefficient.
 """
 
 from __future__ import annotations
@@ -66,6 +72,17 @@ def _ratio(n, d):
 # product from 7 on
 _KRONECKER_MIN = 8
 
+# shorter run length from which a Kronecker product evaluates at two points
+# (_kronecker2).  Replaying every product of one expand and one basis pass
+# through both forms: the two-point form takes 0.7-0.85 of the one-point
+# time at 200-720 slots, and 0.8-0.9 from 70 slots on when slots are 10
+# bytes or wider, but 1.05-1.4 with slots of 1-3 bytes below 240 slots.
+# The passes' total is least, and flat within 0.1 ms, for thresholds from
+# 96 to 128 slots: a lower one moves basis products of 32-95 slots onto the
+# two-point form, a higher one keeps expand's products of 144-255 slots off
+# it
+_KS2_MIN = 96
+
 # a slot of w <= 8 bytes widens to the smallest machine word that holds it:
 # _WORD_SLOTS[w] is that word's size in bytes and _WORD_CODES[size] its
 # array typecode ("q", a C long long, has at least 8 bytes); a wider slot
@@ -73,15 +90,27 @@ _KRONECKER_MIN = 8
 _WORD_CODES = {array(code).itemsize: code for code in "qihb"}
 _WORD_SLOTS = {w: min(s for s in _WORD_CODES if s >= w) for w in range(1, 9)}
 _BIG_ENDIAN = sys.byteorder == "big"
+# bytes.translate table from a slot's top byte to the byte that extends its
+# sign: 0 below 0x80, 0xff from 0x80 on
+_SIGN_FILL = bytes(128) + b"\xff" * 128
 
 
 def _convolve(ac, bc, length):
     """First ``length`` coefficients of the product of two int runs of at
-    most ``length`` slots each, both with a nonzero entry: a Kronecker
-    product when the shorter run has ``_KRONECKER_MIN`` slots or more, else
-    a schoolbook loop that skips zero slots.  ``bc is ac`` marks a square."""
-    if min(len(ac), len(bc)) >= _KRONECKER_MIN:
+    most ``length`` slots each, both with a nonzero entry.  By the shorter
+    run's length: a two-point Kronecker product from ``_KS2_MIN`` slots, a
+    one-point one from ``_KRONECKER_MIN``, a scaled copy of the other run at
+    one slot, else a schoolbook loop that skips zero slots.  ``bc is ac``
+    marks a square."""
+    short = min(len(ac), len(bc))
+    if short >= _KS2_MIN:
+        return _kronecker2(ac, bc, length)
+    if short >= _KRONECKER_MIN:
         return _kronecker(ac, bc, length)
+    if short == 1:
+        c, run = (ac[0], bc) if len(ac) == 1 else (bc[0], ac)
+        out = list(run[:length]) if c == 1 else [c * x for x in run[:length]]
+        return out + [0] * (length - len(out))
     out = [0] * length
     for i, ca in enumerate(ac):
         if ca == 0:
@@ -94,54 +123,134 @@ def _convolve(ac, bc, length):
     return out
 
 
-def _kronecker(a, b, length):
-    """First ``length`` coefficients of the product of two int runs of at
-    most ``length`` slots each.
-
-    Kronecker substitution: each run becomes one integer with a fixed-width
-    little-endian slot per coefficient, one big-integer product does the
-    convolution, and the product's slots are read back.  Every slot holds
-    two's complement; XOR with T, the integer with the top bit of every
-    slot set, turns each into its value plus half a slot, and subtracting T
-    leaves sum c_i 2^(8 s i).  A product read back adds T, so that every
-    slot is nonnegative, and XOR with T turns the slots into two's
-    complement again.  Only the bytes differ by width: a slot of at most 8
-    bytes is a machine word, and one ``array`` call converts a run; a wider
-    slot takes one ``to_bytes`` call per coefficient and one ``from_bytes``
-    call per slot read back.  A square (``b is a``) packs its one run once
-    and squares the integer.
-    """
+def _slot_bytes(a, b):
+    """The bytes w of a signed slot that holds every coefficient of the int
+    runs a and b and of their product."""
     # no product coefficient exceeds bound in size: a slot of w bytes holds
     # it with the sign bit to spare, 2^(8w - 1) > bound.  Every input
     # coefficient is at most bound too, as the other run has a nonzero
     # entry, so a slot of s >= w bytes holds every input and product
     # coefficient as a signed s-byte integer, and packing and read-back are
     # exact
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    w = (bound.bit_length() + 8) // 8
-    s = _WORD_SLOTS.get(w, w)
-    code = _WORD_CODES.get(s)
-    from_bytes = int.from_bytes
-    top = from_bytes((b"\0" * (s - 1) + b"\x80") * length, "little")
-    packed = []
-    for run in (a,) if b is a else (a, b):
-        if code is None:
-            data = b"".join([c.to_bytes(s, "little", signed=True) for c in run])
-        else:
-            words = array(code, run)
-            if _BIG_ENDIAN:
-                words.byteswap()
-            data = words.tobytes()
-        packed.append((from_bytes(data, "little") ^ top) - top)
-    low = ((packed[0] * packed[-1] + top) & ((1 << (8 * s * length)) - 1)) ^ top
-    data = low.to_bytes(s * length, "little")
-    if code is None:
-        return [from_bytes(data[i:i + s], "little", signed=True)
-                for i in range(0, len(data), s)]
-    words = array(code, data)
+    top_a = max(map(abs, a))
+    top_b = top_a if b is a else max(map(abs, b))
+    bound = top_a * top_b * min(len(a), len(b))
+    return (bound.bit_length() + 8) // 8
+
+
+def _top(w, n):
+    """T, the integer with the top bit of each of n slots of w bytes set."""
+    return int.from_bytes((b"\0" * (w - 1) + b"\x80") * n, "little")
+
+
+def _pack(run, w, top):
+    """sum c_i 2^(8 w i) over the int run, every c_i a signed w-byte
+    integer; ``top`` is T for at least len(run) slots.
+
+    The slots hold two's complement: XOR with T turns each into its value
+    plus half a slot, and subtracting T leaves the signed sum.  A slot of at
+    most 8 bytes comes from one ``array`` call on machine words, kept whole
+    when w is a word size and cut to their low w bytes by w strided copies
+    when not; a wider slot takes one ``to_bytes`` call per coefficient.
+    """
+    s = _WORD_SLOTS.get(w)
+    if s is None:
+        data = b"".join([c.to_bytes(w, "little", signed=True) for c in run])
+    else:
+        words = array(_WORD_CODES[s], run)
+        if _BIG_ENDIAN:
+            words.byteswap()
+        data = words.tobytes()
+        if s != w:
+            slots = bytearray(w * len(run))
+            for j in range(w):
+                slots[j::w] = data[j::s]
+            data = slots
+    return (int.from_bytes(data, "little") ^ top) - top
+
+
+def _unpack(value, w, n, top):
+    """The first n coefficients of value = sum c_i 2^(8 w i), every c_i a
+    signed w-byte integer; ``top`` is T for exactly n slots.
+
+    Adding T makes every slot nonnegative, so the first n slots are the low
+    8wn bits, and XOR with T turns them into two's complement again.  Slots
+    of a word size are read by one ``array`` call; other slots of at most 8
+    bytes are first spread to words whose upper bytes copy the sign byte,
+    which one ``bytes.translate`` call gives for every slot; a wider slot
+    takes one ``from_bytes`` call.
+    """
+    data = (((value + top) & ((1 << (8 * w * n)) - 1)) ^ top).to_bytes(
+        w * n, "little")
+    s = _WORD_SLOTS.get(w)
+    if s is None:
+        from_bytes = int.from_bytes
+        return [from_bytes(data[i:i + w], "little", signed=True)
+                for i in range(0, len(data), w)]
+    if s != w:
+        words = bytearray(s * n)
+        for j in range(w):
+            words[j::s] = data[j::w]
+        fill = data[w - 1::w].translate(_SIGN_FILL)
+        for j in range(w, s):
+            words[j::s] = fill
+        data = words
+    words = array(_WORD_CODES[s], data)
     if _BIG_ENDIAN:
         words.byteswap()
     return words.tolist()
+
+
+def _kronecker(a, b, length):
+    """First ``length`` coefficients of the product of two int runs of at
+    most ``length`` slots each.
+
+    Kronecker substitution: each run becomes one integer with a fixed-width
+    little-endian slot per coefficient (``_pack``), one big-integer product
+    does the convolution, and the product's slots are read back
+    (``_unpack``).  A slot of at most 8 bytes is widened to a machine word.
+    A square (``b is a``) packs its one run once and squares the integer.
+    """
+    w = _slot_bytes(a, b)
+    s = _WORD_SLOTS.get(w, w)
+    top = _top(s, length)
+    pa = _pack(a, s, top)
+    pb = pa if b is a else _pack(b, s, top)
+    return _unpack(pa * pb, s, length, top)
+
+
+def _kronecker2(a, b, length):
+    """First ``length`` coefficients of the product of two int runs of at
+    most ``length`` slots each, by Kronecker substitution at two points
+    (Harvey's KS2).
+
+    With slots of exactly w bytes, X = 2^(4w) is half a slot.  A run
+    A(q) = A_e(q^2) + q A_o(q^2) is packed as its even-index and its
+    odd-index coefficients apart, e = A_e(X^2) and o = A_o(X^2), and
+    evaluated at X and -X as e + (o << 4w) and e - (o << 4w).  The two
+    products h+ = C(X) and h- = C(-X) of C = A B are each half as long as
+    one product at X^2, and give C_e(X^2) = (h+ + h-) / 2 and
+    C_o(X^2) = (h+ - h-) / 2X, whose slots are C's even-index and odd-index
+    coefficients.  A square squares both values.
+    """
+    w = _slot_bytes(a, b)
+    half = 4 * w
+    # the product's even half has one slot more than its odd half when
+    # length is odd, and the odd half's T drops that slot
+    n_even, n_odd = (length + 1) // 2, length // 2
+    top = _top(w, n_even)
+    points = []
+    for run in (a,) if b is a else (a, b):
+        e = _pack(run[0::2], w, top)
+        o = _pack(run[1::2], w, top) << half
+        points.append((e + o, e - o))
+    (ap, am), (bp, bm) = points[0], points[-1]
+    hp, hm = ap * bp, am * bm
+    out = [0] * length
+    out[0::2] = _unpack((hp + hm) >> 1, w, n_even, top)
+    out[1::2] = _unpack((hp - hm) >> (half + 1), w, n_odd,
+                        top >> 8 * w * (n_even - n_odd))
+    return out
 
 
 def _min_prec(p, q):

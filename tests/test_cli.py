@@ -56,6 +56,7 @@ def test_dims_factorises_each_level_once(monkeypatch):
         return factorization(n)
 
     monkeypatch.setattr(dimensions, "_factorization", counting)
+    dimensions._invariants.cache_clear()
     code, text = run_cli(["dims", "--level", "1000000007"])
     assert code == 0
     assert len(text.splitlines()) == 3
@@ -166,6 +167,20 @@ def test_bad_number_is_a_positioned_usage_error(expr, caret, capsys):
     assert err[:2] == [expr, " " * caret + "^"]
     assert err[2].startswith("cuspbase: error:")
     assert err[2].endswith(f"(at position {caret})")
+
+
+@pytest.mark.parametrize("level", [11, 0])
+def test_delta_outside_the_catalogue_names_the_range(level, capsys):
+    # every level has a structuring form; the catalogue's range is what the
+    # level lies outside, named as for E[2,11,0], with the caret at the number
+    expr = f"delta({level})"
+    code, text = run_cli(["expand", "--expr", expr, "--prec", "3"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err.splitlines() == [
+        expr, " " * 6 + "^",
+        f"cuspbase: error: level {level} is outside the catalogued range "
+        "1..10 (at position 6)",
+    ]
 
 
 @pytest.mark.parametrize("expr", ["E4(1)+E6(1)", "eta(1:1)"])

@@ -122,6 +122,7 @@ def test_each_formula_factorises_the_level_once(monkeypatch):
     for N in (1, 4, 9, 10, 26, 10007):
         for w in (2, 4, 12):
             for formula in (dim_cusp, dim_modular, sturm_bound, default_prec):
+                dimensions._invariants.cache_clear()
                 passes.clear()
                 formula(N, w)
                 assert passes == [N], (formula.__name__, N, w)
@@ -170,6 +171,7 @@ def test_dim_shift_report_factorises_the_level_once(monkeypatch):
         passes.clear()
         delta_profile(N)
         assert passes == [N], N
+        dimensions._invariants.cache_clear()
         passes.clear()
         rows = dim_shift_report(N, 50)
         assert passes == [N], N
@@ -258,9 +260,35 @@ def test_ladder_start_factorises_the_level_once(monkeypatch):
 
     monkeypatch.setattr(dimensions, "_factorization", counting)
     for N in (1, 7, 11, 26, 10007):
+        dimensions._invariants.cache_clear()
         passes.clear()
         ladder_start(N)
         assert passes == [N], N
+
+
+def test_a_level_is_factorised_once_across_calls(monkeypatch):
+    # the basis builders and verify_membership ask for the Sturm bound of
+    # one level again and again: after the first call no formula of the
+    # level makes a pass, and a float level equal to a kept one is refused
+    passes = []
+    factorization = dimensions._factorization
+
+    def counting(n):
+        passes.append(n)
+        return factorization(n)
+
+    monkeypatch.setattr(dimensions, "_factorization", counting)
+    dimensions._invariants.cache_clear()
+    assert sturm_bound(10, 4) == 7
+    assert passes == [10]
+    passes.clear()
+    assert sturm_bound(10, 4) == 7
+    for formula in (sturm_bound, dim_cusp, dim_modular, default_prec):
+        formula(10, 8)
+    assert group_index(10) == 18
+    assert passes == []
+    with pytest.raises(UnsupportedLevel):
+        sturm_bound(10.0, 4)
 
 
 def test_ladder_dim_report_needs_a_positive_start():

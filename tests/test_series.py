@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import naive_convolve, naive_eta_product_part, series_coeffs
+from cuspbase import series
 from cuspbase.errors import (
     NotAUnit, OffGrid, PrecisionExceeded, ZeroWithinPrecision,
 )
 from cuspbase.eta import EtaQuotient, _euler_factor_list, eta_expand
 from cuspbase.series import (
-    _KRONECKER_MIN, QSeries, _from_index, _quotient, _to_index, first_mismatch,
+    _KRONECKER_MIN, _KS2_MIN, QSeries, _convolve, _from_index, _kronecker,
+    _kronecker2, _quotient, _slot_bytes, _to_index, first_mismatch,
     mul_substituted,
 )
 
@@ -414,10 +416,11 @@ def kernel_factors(draw, grid, n):
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.data(), st.sampled_from([1, 2]),
-       st.sampled_from([_KRONECKER_MIN - 1, _KRONECKER_MIN, _KRONECKER_MIN + 1]),
+       st.sampled_from([_KRONECKER_MIN - 1, _KRONECKER_MIN, _KRONECKER_MIN + 1,
+                        _KS2_MIN - 1, _KS2_MIN]),
        st.integers(0, 40))
 def test_product_kernels_match_naive_convolution(data, grid, short, extra):
-    # shorter runs on both sides of the Kronecker threshold, the longer run
+    # shorter runs on both sides of each Kronecker threshold, the longer run
     # up to 40 slots more
     fa = data.draw(kernel_factors(grid, short))
     fb = data.draw(kernel_factors(grid, short + extra))
@@ -493,6 +496,109 @@ def test_kronecker_word_boundaries_match_naive_convolution(factors, la, lb):
     upto = len(ra) + len(rb) - 1 if prec is None else prec
     assert a * b == QSeries(1, lead, naive_convolve(ra, rb, upto),
                             None if prec is None else lead + prec)
+
+
+@st.composite
+def two_point_runs(draw):
+    """(w, a, b, length) for a product whose runs of 1..300 slots need
+    slots of exactly w bytes, for every w from 1 to 17 the shorter length
+    allows: max|a| * max|b| * (shorter length) has 8w - 8 to 8w - 1 bits.
+    b is a for a square.  Each run holds +M, -M, alternating signs or mixed
+    values up to M, at least one slot at +M or -M, and may start or end with
+    up to three zeros; length runs from the longer run's up to the full
+    product's, odd or even."""
+    la = draw(st.integers(1, 300))
+    square = draw(st.booleans())
+    lb = la if square else draw(st.integers(1, 300))
+    n = min(la, lb)
+    w = draw(st.sampled_from(range((n.bit_length() + 8) // 8, 18)))
+    low_bits = max(8 * w - 8, n.bit_length())
+    if square:
+        # M^2 * n in [2^(bits - 1), 2^bits): some bits of the width has an M
+        scales = []
+        for bits in range(low_bits, 8 * w):
+            lo, hi = 1 << (bits - 1), (1 << bits) - 1
+            m_lo, m_hi = isqrt(-(-lo // n) - 1) + 1, isqrt(hi // n)
+            if m_lo <= m_hi:
+                scales.append((m_lo, m_hi))
+        ma = mb = draw(st.integers(*draw(st.sampled_from(scales))))
+    else:
+        bits = draw(st.integers(low_bits, 8 * w - 1))
+        lo, hi = 1 << (bits - 1), (1 << bits) - 1
+        mb = draw(st.integers(1, max(1, lo // n)))
+        ma = draw(st.integers(-(-lo // (mb * n)), hi // (mb * n)))
+        if draw(st.booleans()):
+            ma, mb = mb, ma
+    rng = draw(st.randoms(use_true_random=False))
+
+    def run(m, size):
+        kind = draw(st.sampled_from(["+M", "-M", "+-M", "mixed"]))
+        if kind == "mixed":
+            out = [rng.randint(-m, m) for _ in range(size)]
+        else:
+            out = [-m if kind == "-M" or kind == "+-M" and i % 2 else m
+                   for i in range(size)]
+        zeros = draw(st.integers(0, min(3, size - 1)))
+        out[:zeros] = [0] * zeros
+        if draw(st.booleans()):
+            tail = draw(st.integers(0, min(3, size - 1 - zeros)))
+            out[size - tail:] = [0] * tail
+        out[zeros] = draw(st.sampled_from([m, -m]))
+        return out
+
+    a = run(ma, la)
+    b = a if square else run(mb, lb)
+    length = draw(st.integers(max(la, lb), la + lb - 1))
+    return w, a, b, length
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(two_point_runs())
+def test_two_point_kronecker_matches_one_point_and_schoolbook(case):
+    # called directly, below _KS2_MIN too: every slot width from 1 to 17
+    # bytes, the compacted 3, 5, 6 and 7 among them, and both parities of
+    # length, so that the odd half's read-back has one slot fewer
+    w, a, b, length = case
+    assert _slot_bytes(a, b) == w
+    want = naive_convolve(a, b, length)
+    assert _kronecker2(a, b, length) == want
+    assert _kronecker(a, b, length) == want
+
+
+def test_convolve_routes_by_the_shorter_run(monkeypatch):
+    # _KS2_MIN - 1 slots take the one-point product, _KS2_MIN the two-point
+    # one, whichever side is shorter and with the longer run much longer
+    calls = []
+    for name in ("_kronecker", "_kronecker2"):
+        kernel = getattr(series, name)
+        monkeypatch.setattr(series, name, lambda a, b, length, kernel=kernel,
+                            name=name: calls.append(name) or kernel(a, b, length))
+    rng = random.Random(5)
+    for short, want in ((_KS2_MIN - 1, "_kronecker"), (_KS2_MIN, "_kronecker2")):
+        for long in (short, 3 * short):
+            a = [rng.randint(-99, 99) or 1 for _ in range(short)]
+            b = [rng.randint(-99, 99) or 1 for _ in range(long)]
+            for x, y in ((a, b), (b, a), (a, a)):
+                calls.clear()
+                length = len(x) + len(y) - 1
+                assert _convolve(x, y, length) == naive_convolve(x, y, length)
+                assert calls == [want], (short, long)
+
+
+@pytest.mark.parametrize("c", [1, -1, 7, -(2 ** 70)])
+def test_one_slot_run_scales_the_other_run(c):
+    # on either side, with the length cut short of the other run, equal to
+    # it, or past it (a class product of mul_substituted), and a square
+    rng = random.Random(c)
+    run = [rng.randint(-9, 9) for _ in range(300)]
+    run[0] = run[-1] = 3
+    for length in (1, 150, 300, 304):
+        cut = run[:length]
+        want = naive_convolve([c], cut, length)
+        assert _convolve([c], cut, length) == want
+        assert _convolve(cut, [c], length) == want
+    square = [c]
+    assert _convolve(square, square, 1) == [c * c]
 
 
 @st.composite
