@@ -71,9 +71,8 @@ def echelonize(forms, expected_dim, prec=None, *, level, weight, space="full"):
     the wrong size.  The elimination is fraction-free: every row is an
     integer vector over the grid slots below the common frontier, and at
     the end each row becomes a series over its pivot entry.  Rows are kept
-    primitive, except that a back-substituted row led by +-1, whose content
-    is 1, skips the content pass; and a pivot led by 1 clears an entry
-    without scaling the row it clears it from.
+    primitive (a row led by +-1 skips the content pass), and a pivot led by
+    1 clears an entry without scaling the row it clears it from.
     """
     common = None
     for f in forms:
@@ -110,11 +109,8 @@ def echelonize(forms, expected_dim, prec=None, *, level, weight, space="full"):
         lead, vals = ordered[i]
         for p, holder in ordered[i + 1:]:
             if vals[p - lead]:
-                vals = _combine(vals, holder, p - lead)
-                # a row led by +-1 has content 1; the lead stays put, as
-                # every later pivot lies to its right
-                if vals[0] not in (1, -1):
-                    vals = _primitive(vals)[1]
+                # the lead stays put, as every later pivot lies to its right
+                vals = _primitive(_combine(vals, holder, p - lead))[1]
         ordered[i] = (lead, vals)
     elements = tuple(_series(grid, lead, vals, size, vals[0]) for lead, vals in ordered)
     return EchelonBasis(level, weight, space, elements, common)
@@ -155,7 +151,8 @@ def _int_row(f, grid, size):
 
 def _primitive(vals, lead=0):
     """(lead, suffix) of an integer row divided by its content, with the
-    suffix starting at the first nonzero entry; () for a zero row."""
+    suffix starting at the first nonzero entry; () for a zero row.  A row
+    led by +-1 has content 1 and skips the gcd pass."""
     for t, x in enumerate(vals):
         if x:
             break
@@ -163,9 +160,10 @@ def _primitive(vals, lead=0):
         return ()
     if t:
         vals = vals[t:]
-    g = gcd(*vals)
-    if g != 1:
-        vals = [x // g for x in vals]
+    if x != 1 and x != -1:
+        g = gcd(*vals)
+        if g != 1:
+            vals = [x // g for x in vals]
     return lead + t, vals
 
 
@@ -288,6 +286,14 @@ def _s_basis_build(N, k, prec):
 def verify_membership(f, basis):
     """Exact coordinates of f in a triangular basis, by pivot substitution.
 
+    f becomes a dense integer residual over the grid slots below the common
+    frontier, d times f for a denominator d.  Each element with a nonzero
+    entry at its pivot slot is subtracted from it, read from its stored
+    numerator run, which starts at the pivot with the element's denominator
+    (the element is unitary), at every residual slot of the element's grid.
+    No dense row is built for an element, and the residual keeps its full
+    length, as a stored run ends at its last nonzero coefficient.
+
     Raises NotInSpan (carrying the first unmatched exponent) when a nonzero
     residual survives, and InsufficientPrecision when f is not known at
     least to the basis Sturm bound.
@@ -304,7 +310,9 @@ def verify_membership(f, basis):
     residual, den = _int_row(f, grid, size)
     coords = []
     for el in basis.elements:
-        slot = el.lead * (grid // el.grid)
+        # el's slots are every step-th residual slot from its pivot on
+        step = grid // el.grid
+        slot = el.lead * step
         if slot >= size:
             raise PrecisionExceeded(
                 f"coefficient of q^{el.valuation()} is beyond the frontier q^{avail}"
@@ -314,13 +322,19 @@ def verify_membership(f, basis):
             coords.append(0)
             continue
         coords.append(_ratio(c, den))
-        row, el_den = _int_row(el, grid, size)
-        # el is unitary (row[slot] == el_den), so den grows by el_den/gcd
-        residual = _combine(residual, row[slot:], slot)
-        den *= el_den // gcd(c, el_den)
-    for slot, x in enumerate(residual):
-        if x:
-            raise NotInSpan(_from_index(slot, grid))
+        # residual <- a*residual - b*row, a/b = el.den/c in lowest terms,
+        # cancels the pivot entry; den grows by a
+        g = gcd(el.den, c)
+        a, b = el.den // g, c // g
+        if a != 1:
+            residual = [a * x for x in residual]
+            den *= a
+        # the slice clips a run that reaches past the frontier
+        cut = slice(slot, slot + step * len(el.nums), step)
+        residual[cut] = [x - b * y for x, y in zip(residual[cut], el.nums)]
+    if any(residual):
+        slot = next(i for i, x in enumerate(residual) if x)
+        raise NotInSpan(_from_index(slot, grid))
     return tuple(coords)
 
 

@@ -346,11 +346,21 @@ def clear_caches():
 
 
 def evaluate(expr, prec):
-    """Exact expansion of an expression tree below exponent prec."""
-    expr_weight(expr)  # raises WeightMismatch on bad trees
+    """Exact expansion of an expression tree below exponent prec.
+
+    A tree's weights are checked (WeightMismatch) when it has no memo
+    entry; every tree in the memo has passed that check, a catalogued body
+    when its Gen or Delta reference was first evaluated.
+    """
+    if expr not in MEMO:
+        expr_weight(expr)
     if prec < 1:
         raise ValueError("precision must be a positive exponent bound")
-    return _eval(expr, int(prec)).truncate(prec)
+    out = _eval(expr, int(prec))
+    # _eval cuts a series with a frontier to an integral prec already
+    if out.prec is None or type(prec) is not int:
+        out = out.truncate(prec)
+    return out
 
 
 def _eval(expr, prec):
@@ -395,7 +405,10 @@ def _eval_uncached(expr, prec):
     if isinstance(expr, TorsionPoint):
         return wpa_expand(expr, prec)
     if isinstance(expr, (Gen, Delta)):
-        return _eval(_catalogued(expr), prec)
+        body = _catalogued(expr)
+        if body not in MEMO:
+            expr_weight(body)
+        return _eval(body, prec)
     if isinstance(expr, Lit):
         return QSeries.make(expr.lead, list(expr.coeffs),
                             prec=expr.lead + len(expr.coeffs))

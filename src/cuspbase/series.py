@@ -20,25 +20,26 @@ run are packed apart into slots of exactly the bytes the width bound
 needs, evaluated at plus and minus half a slot, and two products of half
 the length replace one (``_kronecker2``).  From ``_KRONECKER_MIN`` slots it
 is one big-integer product by Kronecker substitution at one point, with
-slots rounded up to a machine word (``_kronecker``).  Below that it is a
-schoolbook convolution, and a run of one slot scales the other run.  All
+slots rounded up to a word of 1, 2, 4 or 8 bytes (``_kronecker``).  Below
+that it is a schoolbook convolution, and a run of one slot scales the
+other run.  All
 give the same numerators.  A square packs its one run once.  Every slot
 holds its coefficient in two's complement: XOR with the integer T that has
 the top bit of every slot set, then subtracting T, turns the slots into
 the signed sum, and adding T, then XOR with T, turns the product back.  A
-slot of at most 8 bytes comes from one ``array`` call on machine words,
-cut down to its bytes by strided copies when it is narrower than its
-word; a wider slot's bytes come from one ``to_bytes`` call per
-coefficient.
+slot of at most 8 bytes comes from one ``struct`` call on little-endian
+words of 1, 2, 4 or 8 bytes, cut down to its bytes by strided copies when
+it is narrower than its word; a wider slot's bytes come from one
+``to_bytes`` call per coefficient.  Every layout is fixed, so the packed
+bytes are the same on every platform.
 """
 
 from __future__ import annotations
 
 import operator
-import sys
-from array import array
 from fractions import Fraction
 from math import gcd, lcm
+from struct import pack, unpack
 
 from .errors import NotAUnit, OffGrid, PrecisionExceeded, ZeroWithinPrecision
 
@@ -83,13 +84,12 @@ _KRONECKER_MIN = 8
 # it
 _KS2_MIN = 96
 
-# a slot of w <= 8 bytes widens to the smallest machine word that holds it:
+# a slot of w <= 8 bytes widens to the smallest word that holds it:
 # _WORD_SLOTS[w] is that word's size in bytes and _WORD_CODES[size] its
-# array typecode ("q", a C long long, has at least 8 bytes); a wider slot
-# keeps its w bytes
-_WORD_CODES = {array(code).itemsize: code for code in "qihb"}
+# struct code in the standard sizes of a "<" format; a wider slot keeps
+# its w bytes
+_WORD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 _WORD_SLOTS = {w: min(s for s in _WORD_CODES if s >= w) for w in range(1, 9)}
-_BIG_ENDIAN = sys.byteorder == "big"
 # bytes.translate table from a slot's top byte to the byte that extends its
 # sign: 0 below 0x80, 0xff from 0x80 on
 _SIGN_FILL = bytes(128) + b"\xff" * 128
@@ -132,8 +132,8 @@ def _slot_bytes(a, b):
     # entry, so a slot of s >= w bytes holds every input and product
     # coefficient as a signed s-byte integer, and packing and read-back are
     # exact
-    top_a = max(map(abs, a))
-    top_b = top_a if b is a else max(map(abs, b))
+    top_a = max(max(a), -min(a))
+    top_b = top_a if b is a else max(max(b), -min(b))
     bound = top_a * top_b * min(len(a), len(b))
     return (bound.bit_length() + 8) // 8
 
@@ -149,18 +149,16 @@ def _pack(run, w, top):
 
     The slots hold two's complement: XOR with T turns each into its value
     plus half a slot, and subtracting T leaves the signed sum.  A slot of at
-    most 8 bytes comes from one ``array`` call on machine words, kept whole
-    when w is a word size and cut to their low w bytes by w strided copies
-    when not; a wider slot takes one ``to_bytes`` call per coefficient.
+    most 8 bytes comes from one ``struct.pack`` call on little-endian words,
+    kept whole when w is a word size and cut to their low w bytes by w
+    strided copies when not; a wider slot takes one ``to_bytes`` call per
+    coefficient.
     """
     s = _WORD_SLOTS.get(w)
     if s is None:
         data = b"".join([c.to_bytes(w, "little", signed=True) for c in run])
     else:
-        words = array(_WORD_CODES[s], run)
-        if _BIG_ENDIAN:
-            words.byteswap()
-        data = words.tobytes()
+        data = pack(f"<{len(run)}{_WORD_CODES[s]}", *run)
         if s != w:
             slots = bytearray(w * len(run))
             for j in range(w):
@@ -175,10 +173,10 @@ def _unpack(value, w, n, top):
 
     Adding T makes every slot nonnegative, so the first n slots are the low
     8wn bits, and XOR with T turns them into two's complement again.  Slots
-    of a word size are read by one ``array`` call; other slots of at most 8
-    bytes are first spread to words whose upper bytes copy the sign byte,
-    which one ``bytes.translate`` call gives for every slot; a wider slot
-    takes one ``from_bytes`` call.
+    of a word size are read by one ``struct.unpack`` call on little-endian
+    words; other slots of at most 8 bytes are first spread to words whose
+    upper bytes copy the sign byte, which one ``bytes.translate`` call gives
+    for every slot; a wider slot takes one ``from_bytes`` call.
     """
     data = (((value + top) & ((1 << (8 * w * n)) - 1)) ^ top).to_bytes(
         w * n, "little")
@@ -195,10 +193,7 @@ def _unpack(value, w, n, top):
         for j in range(w, s):
             words[j::s] = fill
         data = words
-    words = array(_WORD_CODES[s], data)
-    if _BIG_ENDIAN:
-        words.byteswap()
-    return words.tolist()
+    return list(unpack(f"<{n}{_WORD_CODES[s]}", data))
 
 
 def _kronecker(a, b, length):
@@ -208,7 +203,8 @@ def _kronecker(a, b, length):
     Kronecker substitution: each run becomes one integer with a fixed-width
     little-endian slot per coefficient (``_pack``), one big-integer product
     does the convolution, and the product's slots are read back
-    (``_unpack``).  A slot of at most 8 bytes is widened to a machine word.
+    (``_unpack``).  A slot of at most 8 bytes is widened to a word of 1, 2,
+    4 or 8 bytes.
     A square (``b is a``) packs its one run once and squares the integer.
     """
     w = _slot_bytes(a, b)

@@ -19,7 +19,7 @@ from cuspbase.dimensions import (
 from cuspbase.eisenstein import eisenstein_series
 from cuspbase.errors import (
     IncompleteSpan, InsufficientPrecision, LadderConditionFailed, NotInSpan,
-    RankDeficient, RankExcess, UnsupportedLevel,
+    PrecisionExceeded, RankDeficient, RankExcess, UnsupportedLevel,
 )
 from cuspbase.expr import Gen, Pow, expr_weight
 from cuspbase.series import QSeries
@@ -375,6 +375,123 @@ def test_verify_membership_square():
     for x, e in zip(coords, c.elements):
         recomposed = recomposed + e.scale(x)
     assert recomposed == square
+
+
+def test_membership_sees_the_last_slot_past_a_short_stored_run():
+    # the second element's stored run is one slot long, far short of the
+    # frontier 8; f differs from a span member only at q^7, the last slot
+    # below it, on the full grid and at q^(15/2) on the half grid
+    prec = 8
+    elements = (QSeries(1, 0, [1, 1, 0, 2, 1, -1, 3, 1], prec),
+                QSeries(1, 2, [1], prec))
+    c = EchelonBasis(1, 0, "full", elements, prec)
+    member = elements[0] + elements[1].scale(5)
+    assert verify_membership(member, c) == (1, 5)
+    with pytest.raises(NotInSpan) as info:
+        verify_membership(member + QSeries.monomial(7, prec=prec), c)
+    assert info.value.exponent == 7
+    with pytest.raises(NotInSpan) as info:
+        verify_membership(member + QSeries.monomial(Fraction(15, 2), prec=prec), c)
+    assert info.value.exponent == Fraction(15, 2)
+
+
+def test_membership_scales_the_residual_by_an_element_denominator():
+    # cancelling 1 against e = 1 + q/2 doubles the residual first, which
+    # leaves -q: the first unmatched exponent is 1, not the pivot 0
+    c = EchelonBasis(1, 0, "full", (QSeries(1, 0, [1, Fraction(1, 2)], 2),), 2)
+    with pytest.raises(NotInSpan) as info:
+        verify_membership(QSeries(1, 0, [1], None), c)
+    assert info.value.exponent == 1
+    assert verify_membership(QSeries(1, 0, [3, Fraction(3, 2)], None), c) == (3,)
+
+
+def dense_on(s, grid, size):
+    """Rational coefficients of s at the first ``size`` exponents i/grid."""
+    step = grid // s.grid
+    return [Fraction(s.coeff(Fraction(i, grid))) if i % step == 0 else Fraction(0)
+            for i in range(size)]
+
+
+def reference_membership(f, c):
+    """Coordinates of f in the basis c and the first unmatched exponent (None
+    when f is in the span), by subtracting dense Fraction rows; the string
+    "precision" when a pivot lies at or past the common frontier."""
+    avail = c.prec if f.prec is None else min(f.prec_exponent, c.prec)
+    grid = max([f.grid, Fraction(avail).denominator] + [e.grid for e in c.elements])
+    size = int(avail * grid)
+    residual = dense_on(f, grid, size)
+    coords = []
+    for e in c.elements:
+        pivot = int(e.valuation() * grid)
+        if pivot >= size:
+            return "precision"
+        x = residual[pivot]
+        coords.append(x)
+        residual = [r - x * y for r, y in zip(residual, dense_on(e, grid, size))]
+    bad = next((i for i, r in enumerate(residual) if r), None)
+    return tuple(coords), None if bad is None else Fraction(bad, grid)
+
+
+HALVES = st.integers(-6, 6) | st.builds(Fraction, st.integers(-9, 9), st.just(2))
+
+
+@st.composite
+def membership_cases(draw):
+    """A reduced echelon basis on the full grid, integral or with
+    denominator-2 entries off its pivots, and an f: a combination of its
+    elements, perturbed or not (at a pivot or anywhere), on the full or the
+    half grid.  A perturbation at the pivot of an element with denominator 2
+    makes the reduction scale the residual before it cancels the pivot."""
+    width = draw(st.integers(2, 10))
+    entries = HALVES if draw(st.booleans()) else st.integers(-6, 6)
+    pivots = sorted(draw(st.sets(st.integers(0, width - 1), max_size=4)))
+    elements = []
+    for p in pivots:
+        dense = [Fraction(0)] * width
+        dense[p] = Fraction(1)
+        for j in range(p + 1, width):
+            if j not in pivots:
+                dense[j] = Fraction(draw(entries))
+        elements.append(QSeries(1, 0, dense, width))
+    c = EchelonBasis(1, 0, "full", tuple(elements), width)
+    f = QSeries.zero()
+    for e in elements:
+        f = f + e.scale(draw(st.just(0) | HALVES))
+    grid = draw(st.sampled_from([1, 2]))
+    extra = [0] * (grid * width)
+    for _ in range(draw(st.integers(0, 2))):
+        at = st.integers(0, grid * width - 1)
+        if pivots:
+            at |= st.sampled_from([grid * p for p in pivots])
+        extra[draw(at)] += draw(HALVES)
+    f = f + QSeries(grid, 0, extra, None)
+    fprecs = [None, width, width + 1, 1]
+    if f.grid == 2:
+        fprecs += [Fraction(2 * width - 1, 2), Fraction(width, 2)]
+    fprec = draw(st.sampled_from(fprecs))
+    if fprec is not None:
+        f = f.truncate(fprec)
+    return f, c
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(membership_cases())
+def test_membership_matches_dense_reference_reduction(case):
+    f, c = case
+    want = reference_membership(f, c)
+    if want == "precision":
+        with pytest.raises(PrecisionExceeded):
+            verify_membership(f, c)
+        return
+    coords, bad = want
+    if bad is None:
+        got = verify_membership(f, c)
+        assert got == coords
+        assert all(type(x) is int for x, y in zip(got, coords) if y.denominator == 1)
+    else:
+        with pytest.raises(NotInSpan) as info:
+            verify_membership(f, c)
+        assert info.value.exponent == bad
 
 
 def test_structure_decompose_examples():

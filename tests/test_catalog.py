@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import series_coeffs
+from cuspbase import catalog as catalog_mod
 from cuspbase.catalog import (
     catalog_identities, eta_leaves, evaluate, get_catalog, named_forms,
 )
 from cuspbase.dimensions import (
     default_prec, delta_profile, dim_cusp, ladder_start,
 )
-from cuspbase.errors import UnsupportedLevel
-from cuspbase.expr import expr_weight
+from cuspbase.errors import UnsupportedLevel, WeightMismatch
+from cuspbase.expr import Eis, Gen, add, expr_weight, mul
 from cuspbase.parse import parse_expr
 from cuspbase.series import first_mismatch
 from cuspbase.verify import PRINTED_SERIES, check_printed_series
@@ -48,6 +49,35 @@ def test_generator_bodies_weigh_their_keys():
     for n in range(1, 11):
         for (w, s), form in get_catalog(n).generators.items():
             assert expr_weight(form) == w, (n, w, s)
+
+
+def test_mixed_weights_raise_on_every_evaluation():
+    # weight 4 plus weight 10: refused cold, and again once both summands
+    # are memo entries, as the sum itself never becomes one
+    catalog_mod.clear_caches()
+    low, high = Eis(4, 1), mul(Eis(4, 1), Eis(6, 1))
+    bad = add(low, high)
+    with pytest.raises(WeightMismatch):
+        evaluate(bad, 8)
+    evaluate(low, 8)
+    evaluate(high, 8)
+    for _ in range(2):
+        with pytest.raises(WeightMismatch):
+            evaluate(bad, 8)
+
+
+def test_catalogued_body_with_mixed_weights_raises(monkeypatch):
+    # expr_weight(Gen) trusts the key, so the body is checked when the
+    # reference is first evaluated, and the body itself stays refused
+    body = add(Eis(4, 1), Eis(6, 1))
+    doctored = get_catalog(2).replace(
+        generators={**get_catalog(2).generators, (4, 9): body})
+    monkeypatch.setitem(catalog_mod._CATALOGS, 2, doctored)
+    ref = Gen(4, 2, 9)
+    assert expr_weight(ref) == 4
+    for form in (ref, body, ref):
+        with pytest.raises(WeightMismatch):
+            evaluate(form, 8)
 
 
 def test_seeds_share_one_weight():
