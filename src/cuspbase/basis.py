@@ -8,11 +8,21 @@ no-op.  Its pivots sit below the Sturm floor, so the package memo's one rule
 applies: one basis per (space, N, k) is kept, at the highest precision built
 so far, and lower precisions are served by truncating it.
 
+Echelonization is fraction-free on integer rows.  After the forward pass,
+back-substitution reads each row's multipliers once off the row itself,
+since every finished row is zero at every other pivot.  A row with many
+multipliers, all on rows led by +-1, subtracts their sum, formed as one
+big-integer sum of the finished rows packed at a shared slot width that a
+proven bound sets; every other row clears its pivots one by one.
+
 Full spaces take one atom monomial per valuation 0..d-1, d = dim M_{2k}.
 The catalogued atoms are unitary of declared valuation, so these d rows are
 unitary with distinct valuations: triangular, hence independent, hence a
 basis of M_{2k}.  Each monomial is a product of atom powers, and each power
 is the evaluator's memo entry for it, shared by every weight at the level.
+The monomials come from a staircase table of the atoms' weights and
+valuations, a memo entry extended weight by weight, so a level computes
+each weight's step once.
 
 Cuspidal spaces are built by one ladder rung per level, read from the
 catalogue: for every k >= k0, all seeds but the last are lifted by
@@ -40,7 +50,10 @@ from .errors import (
     RankDeficient, RankExcess,
 )
 from .expr import Gen, expr_weight, power
-from .series import QSeries, _from_index, _min_prec, _ratio, _series
+from .series import (
+    _WORD_SLOTS, QSeries, _from_index, _min_prec, _pack, _ratio, _series, _top,
+    _unpack,
+)
 
 
 class EchelonBasis(Record):
@@ -65,14 +78,16 @@ class EchelonBasis(Record):
 def echelonize(forms, expected_dim, prec=None, *, level, weight, space="full"):
     """Reduce a spanning list to the canonical unitary triangular basis.
 
-    Rows are taken by increasing valuation (ties by input order), reduced
-    against the pivots found so far, and finally fully back-substituted.
-    Dependent rows are dropped; RankDeficient / RankExcess report a span of
-    the wrong size.  The elimination is fraction-free: every row is an
-    integer vector over the grid slots below the common frontier, and at
-    the end each row becomes a series over its pivot entry.  Rows are kept
-    primitive (a row led by +-1 skips the content pass), and a pivot led by
-    1 clears an entry without scaling the row it clears it from.
+    Rows are taken by increasing valuation (ties by input order) and
+    reduced against the pivots found so far; then every pivot column is
+    cleared above its row (``_back_substitute``: a row with many
+    multipliers by one packed big-integer sum, any other row pivot by
+    pivot).  Dependent rows are dropped; RankDeficient / RankExcess report
+    a span of the wrong size.  The elimination is fraction-free: every row
+    is an integer vector over the grid slots below the common frontier, and
+    at the end each row becomes a series over its pivot entry.  Rows are
+    kept primitive (a row led by +-1 skips the content pass), and a pivot
+    led by +-1 clears an entry without scaling the row it clears it from.
     """
     common = None
     for f in forms:
@@ -104,16 +119,101 @@ def echelonize(forms, expected_dim, prec=None, *, level, weight, space="full"):
     if len(pivots) < expected_dim:
         raise RankDeficient(len(pivots), expected_dim)
     ordered = sorted(pivots.items())
-    # full back-substitution: clear every pivot column above its row
-    for i in range(len(ordered) - 2, -1, -1):
-        lead, vals = ordered[i]
-        for p, holder in ordered[i + 1:]:
-            if vals[p - lead]:
-                # the lead stays put, as every later pivot lies to its right
-                vals = _primitive(_combine(vals, holder, p - lead))[1]
-        ordered[i] = (lead, vals)
+    _back_substitute(ordered, size)
     elements = tuple(_series(grid, lead, vals, size, vals[0]) for lead, vals in ordered)
     return EchelonBasis(level, weight, space, elements, common)
+
+
+# rows with at least this many multipliers, all on holders led by +-1, are
+# cleared by one packed sum (_back_substitute).  Replaying the
+# back-substitutions of one certify pass (592 calls, per-call best of 7):
+# 61.6 ms pairwise as before, 43.5 at 6 or 8, 45.9 at 12 and 48.4 at 16.
+# On the 154 builds of the basis workload they read 35.4 ms at 8 against
+# 31.4 at 16 and 37.3 before: a basis of 8-15 rows packs its rows for a
+# few packed rows that do not repay it.  Whole passes put 8 ahead: certify
+# 204-209 ms against 203-214 at 12 and 220-228 before, the basis builds
+# 182 ms against 180 at 12 and 189 before.  s_basis(10, 48) and
+# m_basis(6, 48) read the same at every threshold from 4 to 24
+_PACKED_MIN = 8
+
+
+def _back_substitute(ordered, size):
+    """Clear every pivot column above its row, bottom row first, in place.
+
+    ``ordered`` holds (lead, row) by increasing lead after the forward pass,
+    each row a list over the slots from its lead to ``size``.  Every
+    finished row is zero at every other pivot, so subtracting one does not
+    touch the entries at the other pivots: row i's multiplier for pivot j
+    is its own entry at lead j, read once before any subtraction.
+
+    A row with at least ``_PACKED_MIN`` multipliers, all on rows led by
+    +-1, subtracts S = sum c_j h_j B_j (h_j = +-1 the lead of B_j) in one
+    big-integer sum: each finished row is packed once, at a shared slot
+    width and shifted to its lead's slot, and S is read back once and
+    subtracted in one list pass.  The width holds the proven bound
+    sum |c_j| max|B_j| on every slot of S; when a row's bound outgrows it,
+    the width grows by at least a quarter and the rows are packed again as
+    they are needed.  Every other row clears a pivot led by +-1 in place,
+    without scaling, and a pivot with another lead by the scaled
+    ``_combine``.  A row not led by +-1 is divided by its content at the
+    end; a row led by +-1 has content 1.
+    """
+    leads = [lead for lead, _ in ordered]
+    width = top = 0
+    packed = {}     # j -> row j packed at ``width``, shifted to slot leads[j]
+    maxima = {}     # j -> max |B_j|
+    for i in range(len(ordered) - 2, -1, -1):
+        lead, vals = ordered[i]
+        hits = ()
+        if len(ordered) - 1 - i >= _PACKED_MIN:
+            hits = [(j, c) for j, c in enumerate(
+                [vals[p - lead] for p in leads[i + 1:]], i + 1) if c]
+        if len(hits) >= _PACKED_MIN and all(
+                ordered[j][1][0] in (1, -1) for j, _ in hits):
+            bound = 0
+            for j, c in hits:
+                m = maxima.get(j)
+                if m is None:
+                    row = ordered[j][1]
+                    m = maxima[j] = max(max(row), -min(row))
+                bound += abs(c) * m
+            need = (bound.bit_length() + 8) // 8
+            if need > width:
+                # at least a quarter wider, and a slot of at most 8 bytes
+                # rounded up to its word, which packs by one struct call
+                width = max(need, width + (width + 3) // 4)
+                width = _WORD_SLOTS.get(width, width)
+                top = _top(width, size)
+                packed.clear()
+            total = 0
+            for j, c in hits:
+                p = packed.get(j)
+                if p is None:
+                    p = packed[j] = _pack(ordered[j][1], width, top) << (
+                        8 * width * leads[j])
+                if ordered[j][1][0] == 1:
+                    total += c * p
+                else:
+                    total -= c * p
+            shift = 8 * width * lead
+            vals = [x - y for x, y in zip(
+                vals, _unpack(total >> shift, width, size - lead, top >> shift))]
+        else:
+            for p, holder in ordered[i + 1:]:
+                o = p - lead
+                c = vals[o]
+                if not c:
+                    continue
+                if holder[0] == 1:
+                    vals[o:] = [x - c * y for x, y in zip(vals[o:], holder)]
+                elif holder[0] == -1:
+                    vals[o:] = [x + c * y for x, y in zip(vals[o:], holder)]
+                else:
+                    # scales the row, and with it every multiplier after o
+                    vals = _primitive(_combine(vals, holder, o))[1]
+        if vals[0] != 1 and vals[0] != -1:
+            vals = _primitive(vals)[1]
+        ordered[i] = (lead, vals)
 
 
 def _check_floor(prec, level, weight):
@@ -234,15 +334,30 @@ def _m_basis_build(N, k, prec):
 
 def _staircase(atoms, k):
     """valuation -> exponent vector of an atom monomial of weight 2k with
-    that valuation: the first one found, weight by weight, atom by atom."""
-    reach = {0: {0: (0,) * len(atoms)}}
-    for w in range(2, 2 * k + 1, 2):
-        found = reach[w] = {}
-        for i, atom in enumerate(atoms):
-            for val, vec in reach.get(w - atom.weight, {}).items():
-                found.setdefault(val + atom.valuation,
-                                 vec[:i] + (vec[i] + 1,) + vec[i + 1:])
+    that valuation: the first one found, weight by weight, atom by atom.
+
+    The table of these maps by weight depends on the atoms' weights and
+    valuations alone.  It is a memo entry under them, extended weight by
+    weight as far as a request needs, so one level runs each weight's step
+    once between two ``clear_caches`` calls."""
+    pairs = tuple((atom.weight, atom.valuation) for atom in atoms)
+    key = ("staircase", pairs)
+    reach = MEMO.get(key)
+    if reach is None:
+        reach = MEMO[key] = {0: {0: (0,) * len(pairs)}}
+    for w in range(2 * len(reach), 2 * k + 1, 2):
+        reach[w] = _staircase_step(pairs, reach, w)
     return reach[2 * k]
+
+
+def _staircase_step(pairs, reach, w):
+    """The staircase map of weight w from the lower weights in ``reach``."""
+    found = {}
+    for i, (weight, valuation) in enumerate(pairs):
+        for val, vec in reach.get(w - weight, {}).items():
+            found.setdefault(val + valuation,
+                             vec[:i] + (vec[i] + 1,) + vec[i + 1:])
+    return found
 
 
 # -- cuspidal spaces -----------------------------------------------------------
@@ -377,14 +492,14 @@ def structure_decompose(N, k):
             f"dimension formula says {expected}"
         )
     target = default_prec(N, 2 * k)
+    canonical = s_basis(N, k, target)
     rows = []
     for n in range(q + 1):
-        low = s_basis(N, k - n * half, target - n * nu)
+        low = s_basis(N, k - n * half, target - n * nu) if n else canonical
         lift = evaluate(power(delta, n), target)
         rows.extend(lift * e for e in (low.elements[:nu] if n < q else low.elements))
     rebuilt = echelonize(rows, expected, target, level=N, weight=2 * k,
                          space="cusp")
-    canonical = s_basis(N, k, target)
     common = _min_prec(rebuilt.prec, canonical.prec)
     matches = all(
         a.truncate(common) == b.truncate(common)

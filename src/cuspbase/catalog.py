@@ -337,7 +337,9 @@ def get_catalog(N):
 # or per (space, N, k) (the basis builders), kept at the highest precision
 # built; a lower request is served by truncating it.  A power Pow(f, e) is
 # an expression with its own entry, evaluated by halving through the memo,
-# so all the powers of one form share their products.
+# so all the powers of one form share their products.  The full-space
+# builder's staircase table is kept here too, under the span atoms' weights
+# and valuations, extended to the highest weight asked for.
 MEMO = {}
 
 

@@ -30,8 +30,10 @@ the signed sum, and adding T, then XOR with T, turns the product back.  A
 slot of at most 8 bytes comes from one ``struct`` call on little-endian
 words of 1, 2, 4 or 8 bytes, cut down to its bytes by strided copies when
 it is narrower than its word; a wider slot's bytes come from one
-``to_bytes`` call per coefficient.  Every layout is fixed, so the packed
-bytes are the same on every platform.
+``to_bytes`` call per coefficient, and are read back by one
+``from_bytes`` call per coefficient, or as two 8-byte limbs for a long run
+of slots of at most 16 bytes.  Every layout is fixed, so the packed bytes
+are the same on every platform.
 """
 
 from __future__ import annotations
@@ -83,6 +85,15 @@ _KRONECKER_MIN = 8
 # two-point form, a higher one keeps expand's products of 144-255 slots off
 # it
 _KS2_MIN = 96
+
+# slots from which _unpack reads slots of 9 to 16 bytes as two 8-byte
+# limbs.  Replaying the wide read-backs of one certify and one expand pass,
+# the limbs' fixed cost (two buffers, w + 8 strided copies, two struct
+# calls) makes them 1.2-2.4 times slower than one from_bytes call a slot
+# below 64 slots, level at 64-127 and 0.75-0.8 of it from 128 slots on.
+# Three limbs (17 bytes and wider) read slower than from_bytes at every
+# length measured, since each slot takes two joins
+_LIMBS_MIN = 64
 
 # a slot of w <= 8 bytes widens to the smallest word that holds it:
 # _WORD_SLOTS[w] is that word's size in bytes and _WORD_CODES[size] its
@@ -176,15 +187,30 @@ def _unpack(value, w, n, top):
     of a word size are read by one ``struct.unpack`` call on little-endian
     words; other slots of at most 8 bytes are first spread to words whose
     upper bytes copy the sign byte, which one ``bytes.translate`` call gives
-    for every slot; a wider slot takes one ``from_bytes`` call.
+    for every slot.  From ``_LIMBS_MIN`` slots on, a slot of 9 to 16 bytes
+    is read as two 8-byte limbs, the low one unsigned and the high one
+    signed and sign-filled the same way, by one ``struct.unpack`` call
+    each, and joined as lo | (hi << 64); any other wider slot takes one
+    ``from_bytes`` call.
     """
     data = (((value + top) & ((1 << (8 * w * n)) - 1)) ^ top).to_bytes(
         w * n, "little")
     s = _WORD_SLOTS.get(w)
     if s is None:
-        from_bytes = int.from_bytes
-        return [from_bytes(data[i:i + w], "little", signed=True)
-                for i in range(0, len(data), w)]
+        if w > 16 or n < _LIMBS_MIN:
+            from_bytes = int.from_bytes
+            return [from_bytes(data[i:i + w], "little", signed=True)
+                    for i in range(0, len(data), w)]
+        lo, hi = bytearray(8 * n), bytearray(8 * n)
+        for j in range(8):
+            lo[j::8] = data[j::w]
+        for j in range(8, w):
+            hi[j - 8::8] = data[j::w]
+        fill = data[w - 1::w].translate(_SIGN_FILL)
+        for j in range(w - 8, 8):
+            hi[j::8] = fill
+        return [x | (y << 64) for x, y in zip(unpack(f"<{n}Q", lo),
+                                              unpack(f"<{n}q", hi))]
     if s != w:
         words = bytearray(s * n)
         for j in range(w):

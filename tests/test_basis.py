@@ -1,5 +1,7 @@
 """Echelonization, full/cusp bases, ladder dispatch, membership, decomposition."""
 
+import operator
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from cuspbase.errors import (
 )
 from cuspbase.expr import Gen, Pow, expr_weight
 from cuspbase.series import QSeries
+from cuspbase.verify import run_suite
 
 
 def test_echelonize_two_eisenstein_lifts():
@@ -134,9 +137,10 @@ def test_echelonize_matches_naive_gauss_jordan(case, expected_dim):
 
 def test_echelonize_back_substitutes_through_unit_and_non_unit_pivots(monkeypatch):
     # pivots led by 1, -1, 2 and 3, each with zeros at the later pivot
-    # columns so that it keeps its lead, and a first row that meets all four:
-    # it stays led by +-1 (content 1, no content pass) after the first two
-    # and by a non-unit (a content pass) after the last two
+    # columns so that it keeps its lead, and a first row that meets all four
+    # (fewer than _PACKED_MIN multipliers, so the list path): the pivots led
+    # by 1 and -1 are cleared in place, without _combine and without
+    # scaling, so the row is still led by 1 when the last two scale it
     rows = [
         [1, 1, 1, 1, 1, 1, 1],
         [0, 1, 0, 0, 0, 2, 5],
@@ -154,9 +158,97 @@ def test_echelonize_back_substitutes_through_unit_and_non_unit_pivots(monkeypatc
 
     monkeypatch.setattr(basis_mod, "_combine", recording)
     got = echelonize([QSeries(1, 0, r, 7) for r in rows], 5, 7, level=1, weight=0)
-    assert combined == [(1, 1), (-1, -1), (2, -2), (3, -6)]
+    assert combined == [(2, 2), (3, 6)]
     want = tuple(QSeries(1, 0, r, 7) for r in naive_rref(rows, 7))
     assert got == EchelonBasis(1, 0, "full", want, 7)
+
+
+PACKED_MIN = basis_mod._PACKED_MIN
+
+
+def entries(bits):
+    """Row entries: zeros, small ones, and ones of ``bits`` + 1 bits, so
+    that a slot bound is often nearly reached."""
+    big = st.integers(1 << bits, (2 << bits) - 1)
+    big = big | big.map(operator.neg)
+    return st.one_of(st.just(0), st.integers(-3, 3), big, big)
+
+
+@st.composite
+def pivot_rows(draw):
+    """Integer rows over ``width`` slots, one per pivot column, led by 1 or
+    -1 but for up to two led by 2 or -2, with the entries of the rows near
+    the top drawn larger, so that the slot bound grows up the
+    back-substitution.  Pivot counts run from 2 to PACKED_MIN + 6, so rows
+    clear both fewer and more multipliers than PACKED_MIN.  A few
+    combinations of them (dependent rows) and rows led at one of their
+    pivot columns (tied valuations) join them, and the whole set comes
+    shuffled."""
+    n = draw(st.integers(2, PACKED_MIN + 6)
+             | st.integers(PACKED_MIN + 2, PACKED_MIN + 6))
+    width = n + draw(st.integers(0, 4))
+    cols = sorted(draw(st.lists(st.integers(0, width - 1), min_size=n,
+                                max_size=n, unique=True)))
+    doubled = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    base, step = draw(st.integers(0, 40)), draw(st.integers(0, 12))
+    rows = []
+    for r, col in enumerate(cols):
+        lead = draw(st.sampled_from([1, -1])) * (2 if r in doubled else 1)
+        tail = draw(st.lists(entries(base + step * (n - r)),
+                             min_size=width - col - 1, max_size=width - col - 1))
+        rows.append([0] * col + [lead] + tail)
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(rows[:n])), draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            ca, cb = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([ca * x + cb * y for x, y in zip(a, b)])
+        else:
+            col = next(i for i, x in enumerate(a) if x)
+            tail = draw(st.lists(st.integers(-9, 9), min_size=width - col - 1,
+                                 max_size=width - col - 1))
+            rows.append([0] * col + [draw(st.sampled_from([1, -1]))] + tail)
+    return draw(st.permutations(rows)), width
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(pivot_rows())
+def test_back_substitution_matches_a_fraction_reduced_echelon_form(case):
+    rows, width = case
+    rref = naive_rref(rows, width)
+    got = echelonize([QSeries(1, 0, r, width) for r in rows], len(rref), width,
+                     level=1, weight=0)
+    want = tuple(QSeries(1, 0, r, width) for r in rref)
+    assert got == EchelonBasis(1, 0, "full", want, width)
+
+
+def test_packed_back_substitution_widens_and_repacks(monkeypatch):
+    # PACKED_MIN + 6 pivots led by 1 and -1 on the diagonal, every entry
+    # nonzero and larger in the rows nearer the top: the lowest packed row
+    # sets the slot width, rows above it widen it, and rows packed before a
+    # widening are packed again at the new width
+    n = PACKED_MIN + 6
+    rows = [[0] * r + [(-1) ** r] + [(-1) ** (r * c) * (3 << (8 * (n - r))) + c
+                                      for c in range(r + 1, n + 4)]
+            for r in range(n)]
+    packs = []
+    pack = basis_mod._pack
+
+    def recording(run, w, top):
+        packs.append((len(run), w))
+        return pack(run, w, top)
+
+    monkeypatch.setattr(basis_mod, "_pack", recording)
+    got = echelonize([QSeries(1, 0, r, n + 4) for r in rows], n, n + 4,
+                     level=1, weight=0)
+    widths = sorted({w for _, w in packs})
+    assert len(widths) >= 2
+    for narrow, wide in zip(widths, widths[1:]):
+        assert 4 * wide >= 5 * narrow
+    # a row packed at one width and again at a wider one
+    assert any(sum(1 for p in packs if p[0] == length) >= 2
+               for length, _ in packs)
+    want = tuple(QSeries(1, 0, r, n + 4) for r in naive_rref(rows, n + 4))
+    assert got == EchelonBasis(1, 0, "full", want, n + 4)
 
 
 def test_span_atoms_are_unitary_of_declared_weight_and_valuation():
@@ -179,6 +271,55 @@ def test_staircase_covers_every_valuation_once():
             for val, vec in chosen.items():
                 assert sum(e * a.weight for e, a in zip(vec, atoms)) == 2 * k
                 assert sum(e * a.valuation for e, a in zip(vec, atoms)) == val
+
+
+def fresh_staircase(atoms, k):
+    """The staircase map of weight 2k by its weight-by-weight recursion,
+    computed from weight 2 with no memo."""
+    reach = {0: {0: (0,) * len(atoms)}}
+    for w in range(2, 2 * k + 1, 2):
+        found = reach[w] = {}
+        for i, atom in enumerate(atoms):
+            for val, vec in reach.get(w - atom.weight, {}).items():
+                found.setdefault(val + atom.valuation,
+                                 vec[:i] + (vec[i] + 1,) + vec[i + 1:])
+    return reach[2 * k]
+
+
+def test_staircase_table_equals_a_fresh_recursion_in_any_request_order():
+    catalog_mod.clear_caches()
+    try:
+        for order in (range(31), range(30, -1, -1), (17, 3, 30, 0, 29, 11)):
+            catalog_mod.clear_caches()
+            for n in range(1, 11):
+                atoms = get_catalog(n).span_atoms
+                for k in order:
+                    want = fresh_staircase(atoms, k)
+                    assert basis_mod._staircase(atoms, k) == want, (n, k)
+    finally:
+        catalog_mod.clear_caches()
+
+
+def test_a_certify_pass_computes_each_staircase_weight_once(monkeypatch):
+    computed = Counter()
+    step = basis_mod._staircase_step
+
+    def counting(pairs, reach, w):
+        computed[pairs, w] += 1
+        return step(pairs, reach, w)
+
+    monkeypatch.setattr(basis_mod, "_staircase_step", counting)
+    catalog_mod.clear_caches()
+    try:
+        _, ok = run_suite(None, "all")
+    finally:
+        catalog_mod.clear_caches()
+    assert ok
+    assert computed and set(computed.values()) == {1}
+    # each level's table is one run from weight 2 to its highest weight
+    for pairs in {p for p, _ in computed}:
+        top = max(w for p, w in computed if p == pairs)
+        assert {w for p, w in computed if p == pairs} == set(range(2, top + 1, 2))
 
 
 def incomplete_span_with_level3_atoms(monkeypatch, atoms, k):

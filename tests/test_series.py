@@ -585,6 +585,18 @@ def test_convolve_routes_by_the_shorter_run(monkeypatch):
                 assert calls == [want], (short, long)
 
 
+def test_unpack_reads_back_every_slot_width_on_both_sides_of_the_limb_threshold():
+    # slots of 1 to 24 bytes, at runs one short of _LIMBS_MIN, at it and
+    # past it: the extremes +-(2^(8w - 1) - 1), zeros, -1 and mixed values
+    rng = random.Random(11)
+    for w in range(1, 25):
+        m = (1 << (8 * w - 1)) - 1
+        for n in (series._LIMBS_MIN - 1, series._LIMBS_MIN, 3 * series._LIMBS_MIN):
+            run = [rng.choice([m, -m, 0, -1, rng.randint(-m, m)]) for _ in range(n)]
+            top = series._top(w, n)
+            assert series._unpack(series._pack(run, w, top), w, n, top) == run, (w, n)
+
+
 @pytest.mark.parametrize("c", [1, -1, 7, -(2 ** 70)])
 def test_one_slot_run_scales_the_other_run(c):
     # on either side, with the length cut short of the other run, equal to
